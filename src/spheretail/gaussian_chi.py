@@ -177,7 +177,9 @@ def chi_expectation(d, fn: Callable[[np.ndarray], np.ndarray]) -> float:
 
     upper = math.sqrt(d) + 8.0
     for _ in range(400):
-        edge = integrand(upper)
+        # an overflow here is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            edge = integrand(upper)
         if not math.isfinite(edge):
             raise ValueError(
                 "integrand is non-finite before the chi density decays; "

@@ -36,11 +36,10 @@ from .bounds import coeff_array, scale
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
 from .sampling import (
     RngStream,
-    _chunk_layout,
-    _unit_chunk,
+    cos_marginal,
     fourth_moment_exact,
     gaussian_fourth_moment,
-    iter_sum_norm_chunks,
+    map_sum_norms,
     second_moment_exact,
 )
 
@@ -376,10 +375,7 @@ def is_bisubharmonic_numeric(
             profile_scale = max(profile_scale, float(np.abs(m).max()))
         else:
             npairs = max(2, samples // 2)
-            rng = RngStream(seed, yi).generator()
-            g = rng.standard_normal((npairs, d))
-            rnorm = np.sqrt(np.einsum("ij,ij->i", g, g))
-            c = y_norm * g[:, 0] / rnorm
+            c = y_norm * cos_marginal(RngStream(seed, yi).generator(), d, npairs)
             y2 = y_norm * y_norm
             vt = np.empty((npairs, ts.size))
             for j, t in enumerate(ts):
@@ -561,25 +557,20 @@ def _certify_comparison_function(fn: TestFunction, d: int) -> None:
         )
 
 
-def _mc_mean_of_norm_fn(
-    value_of_norm: Callable[[np.ndarray], np.ndarray],
-    coeffs,
-    d: int,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Mean and standard error of value_of_norm(||sum a_i U_i||)."""
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for r in iter_sum_norm_chunks(coeffs, d, samples, seed):
-        v = value_of_norm(r)
-        total += float(v.sum())
-        total_sq += float(v @ v)
-        n += v.size
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / max(1, n - 1))
-    return mean, math.sqrt(var / n)
+def _mc_means(
+    values: Callable[[np.ndarray], np.ndarray], rows, d: int, samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """(mean, standard error) of each row of values(norms), over the sample
+    stream of ``rows`` (see ``sampling.map_sum_norms``)."""
+
+    def moments(r: np.ndarray) -> np.ndarray:
+        v = np.atleast_2d(values(r))
+        return np.stack([v.sum(axis=1), (v * v).sum(axis=1)])
+
+    total, total_sq = np.sum(map_sum_norms(moments, rows, d, samples, seed), axis=0)
+    means = total / samples
+    var = np.maximum(0.0, (total_sq - samples * means * means) / max(1, samples - 1))
+    return [(float(m), math.sqrt(v / samples)) for m, v in zip(means, var)]
 
 
 def bc_comparison_check(
@@ -595,8 +586,9 @@ def bc_comparison_check(
     Powers 2 and 4 are settled by the exact moment oracles (for the second
     moment the two sides coincide, for the fourth the margin is exact).
     Other certified profiles are compared by Monte Carlo with common random
-    numbers: both sums reuse the same U_i draws, which leaves each side's
-    marginal law unchanged but shrinks the variance of the difference.
+    numbers: both radial chains reuse the same cosine draws, which leaves
+    each side's marginal law unchanged but shrinks the variance of the
+    difference.
     """
     d = check_dimension(d)
     idx = majorization_failure(pair)
@@ -620,31 +612,15 @@ def bc_comparison_check(
         rhs = _fourth_moment_from_squares(pair.b_sq, d)
         return _judge(lhs, rhs, 0.0, alpha, "exact-m4")
 
-    sums = np.zeros(3)  # sum lhs, sum rhs, sum diff
-    sums_sq = np.zeros(3)
-    n = 0
-    for k, size in _chunk_layout(samples):
-        u = _unit_chunk(RngStream(seed, k).generator(), size, a.size, d)
-        sa = np.einsum("ijk,j->ik", u, a)
-        sb = np.einsum("ijk,j->ik", u, b)
-        la = fn.h(np.sqrt(np.einsum("ik,ik->i", sa, sa)))
-        lb = fn.h(np.sqrt(np.einsum("ik,ik->i", sb, sb)))
-        diff = lb - la
-        for i, v in enumerate((la, lb, diff)):
-            sums[i] += float(v.sum())
-            sums_sq[i] += float(v @ v)
-        n += size
-    means = sums / n
-    ses = np.sqrt(np.maximum(0.0, (sums_sq - n * means * means) / (n - 1)) / n)
+    def sides(r: np.ndarray) -> np.ndarray:
+        la, lb = fn.h(r)
+        return np.stack([la, lb, lb - la])
+
+    (lhs, lhs_se), (rhs, rhs_se), (margin, margin_se) = _mc_means(
+        sides, np.stack([a, b]), d, samples, seed
+    )
     return _build_verdict(
-        lhs=float(means[0]),
-        rhs=float(means[1]),
-        margin=float(means[2]),
-        margin_se=float(ses[2]),
-        alpha=alpha,
-        method="mc-crn",
-        lhs_se=float(ses[0]),
-        rhs_se=float(ses[1]),
+        lhs, rhs, margin, margin_se, alpha, "mc-crn", lhs_se=lhs_se, rhs_se=rhs_se
     )
 
 
@@ -687,7 +663,7 @@ def gaussian_comparison_check(
         lhs, lhs_se = fourth_moment_exact(a, d), 0.0
         method = "exact-m4"
     else:
-        lhs, lhs_se = _mc_mean_of_norm_fn(fn.h, a, d, samples, seed)
+        [(lhs, lhs_se)] = _mc_means(fn.h, a, d, samples, seed)
         method = "mc-vs-exact"
     return _judge(lhs, rhs, lhs_se, alpha, method, lhs_se=lhs_se)
 
@@ -812,6 +788,6 @@ def kwapien_check(
     elif p == 4.0:
         lhs, lhs_se, method = fourth_moment_exact(a, d), 0.0, "exact-m4"
     else:
-        lhs, lhs_se = _mc_mean_of_norm_fn(lambda r: r**p, a, d, samples, seed)
+        [(lhs, lhs_se)] = _mc_means(lambda r: r**p, a, d, samples, seed)
         method = "mc-vs-exact"
     return _judge(lhs, rhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)

@@ -22,6 +22,7 @@ from .bounds import (
     BoundConstant,
     BoundResult,
     TailQuery,
+    coeff_array,
     get_constant,
     scale,
     theorem_bound,
@@ -81,9 +82,8 @@ class CoefficientPattern:
             a = np.asarray(self.values, dtype=float)
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if normalize:
-            a = a / math.sqrt(float(a @ a))
-        return a
+        a = coeff_array(a)
+        return a / math.sqrt(float(a @ a)) if normalize else a
 
     @property
     def label(self) -> str:

@@ -1,18 +1,27 @@
-"""Uniform-on-sphere sampling, deterministic Monte Carlo tail estimation,
-and exact small-instance oracles.
+"""Deterministic Monte Carlo tail estimation for norms of sums of uniform
+unit vectors, and exact small-instance oracles.
+
+Radial chain
+------------
+The summands a_i U_i are spherically invariant, so the norm of a partial sum
+is a Markov chain: adding a U to a sum of norm R gives norm
+
+    sqrt((R + a C)^2 + a^2 (1 - C^2)),
+
+where C is one coordinate of a uniform unit vector in R^d, drawn
+independently of the past (``cos_marginal`` holds its law).  The chain
+starts at R = |a_1| without a draw, so a sample costs O(n) time in any
+dimension.  This form of the update gives |R +- a| exactly for d = 1 and
+keeps a one-coefficient norm exactly |a_1|.
 
 Determinism contract
 --------------------
 Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
-dimension, threshold).  Samples are generated in fixed chunks of
-``CHUNK_SIZE``; chunk k derives its generator from
-``SeedSequence(seed, spawn_key=(k,))``.  Workers only map chunks to threads,
-so the drawn sample stream, the hit count, and hence the reported estimate
-are identical for any degree of parallelism.
-
-Sphere sampling is by normalization of standard Gaussian vectors: it is
-dimension-uniform, vectorizes, and inherits exact rotation invariance from
-the Gaussian law.
+dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
+chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
+Workers only map chunks to threads, so the drawn sample stream, the hit
+count, and hence the reported estimate are identical for any degree of
+parallelism.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
 verdicts built on them stay conservative even at very small tail
@@ -24,7 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -84,58 +93,73 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01) -> tuple[float, floa
     return low, high
 
 
-def _unit_chunk(rng: np.random.Generator, size: int, n: int, d: int) -> np.ndarray:
-    """(size, n, d) array of independent uniform unit vectors."""
-    g = rng.standard_normal((size, n, d))
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
-    g /= norms[:, :, None]
-    return g
+def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
+    """``size`` draws of C, one coordinate of a uniform unit vector in R^d.
 
-
-def sample_sphere(d, stream: RngStream) -> np.ndarray:
-    """One vector uniformly distributed on the unit sphere in R^d."""
-    d = check_dimension(d)
-    return _unit_chunk(stream.generator(), 1, 1, d)[0, 0]
-
-
-def _chunk_layout(n_samples: int) -> list[tuple[int, int]]:
-    """(chunk_index, chunk_size) pairs covering n_samples."""
-    full, rem = divmod(n_samples, CHUNK_SIZE)
-    layout = [(k, CHUNK_SIZE) for k in range(full)]
-    if rem:
-        layout.append((full, rem))
-    return layout
-
-
-def _map_chunks(fn, layout, workers: int):
-    if workers <= 1:
-        return [fn(k, size) for k, size in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ks: fn(*ks), layout))
-
-
-def iter_sum_norm_chunks(
-    coeffs: Sequence[float], d, n_samples: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Yield chunks of ||a_1 U_1 + ... + a_n U_n|| samples, deterministically.
-
-    The concatenation of the yielded chunks is a fixed function of
-    (coeffs, d, n_samples, seed).
+    C is +-1 for d = 1, the cosine of a uniform angle for d = 2, uniform on
+    [-1, 1] for d = 3 (Archimedes) and 2 Beta((d-1)/2, (d-1)/2) - 1 in
+    general.  The d <= 3 branches draw the same laws faster than numpy's
+    beta sampler does.
     """
-    a = coeff_array(coeffs)
+    d = check_dimension(d)
+    if d == 1:
+        return 2.0 * rng.integers(0, 2, size) - 1.0
+    if d == 2:
+        return np.cos(math.pi * rng.random(size))
+    if d == 3:
+        return rng.uniform(-1.0, 1.0, size)
+    half = 0.5 * (d - 1)
+    return 2.0 * rng.beta(half, half, size) - 1.0
+
+
+def _radial_chain(rows: np.ndarray, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(len(rows), size) samples of ||sum_j rows[i, j] U_j||; all rows share
+    the C draws."""
+    r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
+    for a in rows.T[1:, :, None]:
+        c = cos_marginal(rng, d, size)
+        r += a * c
+        r *= r
+        r += (a * a) * (1.0 - c * c)
+        np.sqrt(r, out=r)
+    return r
+
+
+def map_sum_norms(
+    fn: Callable[[np.ndarray], object], rows, d, n_samples: int, seed: int, workers: int = 1
+) -> list:
+    """[fn(norms_k) for each chunk k], in chunk order.
+
+    ``rows`` is one coefficient vector, giving norms_k of shape (size,), or
+    a stack of equal-length vectors, giving norms_k of shape
+    (len(rows), size) in which every row uses the same C draws (common
+    random numbers).  Chunk k draws from ``RngStream(seed, k)``, so the
+    result does not depend on ``workers``.
+    """
+    a = np.asarray(rows, dtype=float)
     d = check_dimension(d)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    for k, size in _chunk_layout(n_samples):
-        rng = RngStream(seed, k).generator()
-        u = _unit_chunk(rng, size, a.size, d)
-        s = np.einsum("ijk,j->ik", u, a)
-        yield np.sqrt(np.einsum("ik,ik->i", s, s))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    stack = np.atleast_2d(a)
+    full, rem = divmod(n_samples, CHUNK_SIZE)
+    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
+
+    def chunk(k: int):
+        r = _radial_chain(stack, d, RngStream(seed, k).generator(), sizes[k])
+        return fn(r if a.ndim == 2 else r[0])
+
+    if workers == 1:
+        return [chunk(k) for k in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk, range(len(sizes))))
 
 
 def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> np.ndarray:
-    """All ||sum a_i U_i|| samples as one array (see iter_sum_norm_chunks)."""
-    return np.concatenate(list(iter_sum_norm_chunks(coeffs, d, n_samples, seed)))
+    """n_samples draws of ||a_1 U_1 + ... + a_n U_n||, a fixed function of
+    (coeffs, d, n_samples, seed)."""
+    return np.concatenate(map_sum_norms(lambda r: r, coeff_array(coeffs), d, n_samples, seed))
 
 
 def mc_tail_multi(
@@ -154,24 +178,16 @@ def mc_tail_multi(
     the stream depends on (seed, n_samples, coeffs, d) but not on u.
     """
     a = coeff_array(coeffs)
-    d = check_dimension(d)
     us = np.asarray(u_values, dtype=float)
     if us.ndim != 1 or us.size < 1 or not np.all(np.isfinite(us)):
         raise ValueError("u_values must be a nonempty sequence of finite reals")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
-    def chunk_hits(k: int, size: int) -> np.ndarray:
-        rng = RngStream(seed, k).generator()
-        u = _unit_chunk(rng, size, a.size, d)
-        s = np.einsum("ijk,j->ik", u, a)
-        r = np.sqrt(np.einsum("ik,ik->i", s, s))
+    def chunk_hits(r: np.ndarray) -> np.ndarray:
         return np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
 
-    per_chunk = _map_chunks(chunk_hits, _chunk_layout(n_samples), workers)
-    hits = np.sum(per_chunk, axis=0)
+    hits = np.sum(map_sum_norms(chunk_hits, a, d, n_samples, seed, workers), axis=0)
     out = []
     for ui, h in zip(us, hits):
         h = int(h)

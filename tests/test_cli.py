@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of reports."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -244,6 +245,34 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "records=21" in out  # 3 patterns x 7 thresholds
+
+
+class TestInputErrors:
+    """Bad input fails with exit 2 and a message naming the problem, before
+    any numpy warning is raised."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify", "--d", "1", "--patterns", "explicit:0,0"],
+                "coefficients need a positive, finite sum of squares",
+            ),
+            (["verify", "--d", "1", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["verify", "--d", "1", "--workers", "-5"], "workers must be >= 1, got -5"),
+            (
+                ["check", "gauss", "--f", "cosh50", "--coeffs", "1,1", "--d", "3"],
+                "integrand is non-finite",
+            ),
+        ],
+    )
+    def test_rejected_without_warning(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv, "--samples", "1000")
+        assert code == 2
+        assert message in err
+        assert caught == []
 
 
 class TestRecordReproducibility:

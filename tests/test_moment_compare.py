@@ -153,14 +153,15 @@ class TestIsBisubharmonic:
         assert is_bisubharmonic_numeric(cosh_profile(1.0), 3, samples=40_000, seed=2).passed
         assert is_bisubharmonic_numeric(cosh_profile(1.0), 3, method="quadrature").passed
 
-    def test_wide_interval_reports_inconclusive_not_pass(self):
-        xs = np.linspace(-6.0, 6.0, 1201)
-        ripple = from_table(xs, xs**2 + 0.05 * np.cos(5 * xs), even=True)
-        report = is_bisubharmonic_numeric(
-            ripple, 2, y_set=[1.0], t_grid=np.linspace(0.5, 1.5, 4),
-            samples=30, seed=0,
-        )
-        assert report.status == "inconclusive"
+    def test_zero_margin_never_reports_pass(self):
+        # |x| is biharmonic in R^3, so m(t) = |y| + t / (3 |y|) is affine for
+        # t < |y|^2: every exact margin is 0, and a Monte Carlo "pass" would
+        # claim a strictly positive margin from 30 samples
+        kwargs = dict(y_set=[2.0], t_grid=np.linspace(0.5, 3.5, 4))
+        quad = is_bisubharmonic_numeric(power(1), 3, method="quadrature", **kwargs)
+        assert [tr.margin for tr in quad.triples] == [0.0, 0.0]
+        report = is_bisubharmonic_numeric(power(1), 3, samples=30, seed=0, **kwargs)
+        assert report.status != "pass"
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -261,6 +262,12 @@ class TestBcComparison:
         verdict = bc_comparison_check(cosh_profile(1.0), pair, 2, samples=100_000, seed=5)
         assert verdict.holds and verdict.conclusive
         assert verdict.method == "mc-crn"
+
+    def test_common_random_numbers_shrink_margin_se(self):
+        pair = MajorizationPair((0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25))
+        verdict = bc_comparison_check(cosh_profile(1.0), pair, 5, seed=3)
+        assert verdict.method == "mc-crn"
+        assert verdict.margin_se < math.hypot(verdict.lhs_se, verdict.rhs_se)
 
     def test_seed_stability_within_pooled_se(self):
         pair = MajorizationPair((0.8, 0.2), (0.5, 0.5))

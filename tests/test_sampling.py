@@ -1,4 +1,5 @@
-"""Tests for sphere sampling, Monte Carlo estimation, and the exact oracles.
+"""Tests for the radial-chain sampler, Monte Carlo estimation, and the exact
+oracles.
 
 The enumeration oracle is cross-checked against a fully independent
 itertools-based brute force; the Monte Carlo machinery is checked against
@@ -22,10 +23,11 @@ from spheretail import (
     gaussian_fourth_moment,
     mc_tail,
     mc_tail_multi,
-    sample_sphere,
     sample_sum_norms,
     second_moment_exact,
 )
+from spheretail.report import CoefficientPattern
+from spheretail.sampling import cos_marginal
 
 
 def brute_force_rademacher(coeffs, u, strict=True) -> float:
@@ -38,41 +40,64 @@ def brute_force_rademacher(coeffs, u, strict=True) -> float:
     return hits / 2.0**n
 
 
+def gaussian_reference_norms(coeffs, d, n_samples, seed, step=50_000):
+    """Independent sampler: normalised Gaussian vectors, summed in R^d."""
+    rng = np.random.default_rng(seed)
+    a = np.asarray(coeffs)
+    out = []
+    for start in range(0, n_samples, step):
+        g = rng.normal(size=(min(step, n_samples - start), a.size, d))
+        g /= np.linalg.norm(g, axis=2, keepdims=True)
+        s = (a[None, :, None] * g).sum(axis=1)
+        out.append(np.linalg.norm(s, axis=1))
+    return np.concatenate(out)
+
+
 class TestSphereSampling:
-    def test_unit_norm(self):
+    """The law of C, one coordinate of a uniform unit vector in R^d."""
+
+    def test_values_lie_in_unit_interval(self):
         for d in (1, 2, 3, 7, 40):
-            v = sample_sphere(d, RngStream(123, d))
-            assert v.shape == (d,)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            c = cos_marginal(RngStream(123, d).generator(), d, 10_000)
+            assert c.shape == (10_000,)
+            assert np.all(np.abs(c) <= 1.0)
 
     def test_d1_is_two_point(self):
-        values = {float(sample_sphere(1, RngStream(5, k))[0]) for k in range(64)}
+        values = set(cos_marginal(RngStream(5, 0).generator(), 1, 64).tolist())
         assert values == {-1.0, 1.0}
 
     def test_d3_first_coordinate_uniform(self):
         # Archimedes: the first coordinate of a uniform point on S^2 is
         # uniform on [-1, 1]
-        rng = RngStream(2024, 0).generator()
-        g = rng.standard_normal((1_000_000, 3))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        ks = stats.kstest(u[:, 0], "uniform", args=(-1.0, 2.0))
+        c = cos_marginal(RngStream(2024, 0).generator(), 3, 1_000_000)
+        ks = stats.kstest(c, "uniform", args=(-1.0, 2.0))
         assert ks.pvalue > 1e-3
 
-    def test_covariance_is_identity_over_d(self):
+    def test_second_moment_is_one_over_d(self):
+        # E C^2 = 1/d is the diagonal of Cov(U) = I/d
         d = 4
-        rng = RngStream(7, 0).generator()
-        g = rng.standard_normal((1_000_000, d))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        for i in range(d):
-            for j in range(d):
-                prod = u[:, i] * u[:, j]
-                se = prod.std(ddof=1) / math.sqrt(prod.size)
-                target = 1.0 / d if i == j else 0.0
-                assert abs(prod.mean() - target) <= 5.0 * se
+        c2 = cos_marginal(RngStream(7, 0).generator(), d, 1_000_000) ** 2
+        se = c2.std(ddof=1) / math.sqrt(c2.size)
+        assert abs(c2.mean() - 1.0 / d) <= 5.0 * se
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
-            sample_sphere(0, RngStream(1, 0))
+            cos_marginal(RngStream(1, 0).generator(), 0, 8)
+
+
+class TestRadialChain:
+    @pytest.mark.parametrize("d, n", [(2, 3), (5, 4), (30, 3)])
+    def test_matches_gaussian_reference(self, d, n):
+        coeffs = np.linspace(1.0, 0.4, n)
+        chain = sample_sum_norms(coeffs, d, 1_000_000, seed=d)
+        reference = gaussian_reference_norms(coeffs, d, 1_000_000, seed=100 + d)
+        assert stats.ks_2samp(chain, reference).pvalue > 1e-3
+
+    def test_constant_norms_are_exact(self):
+        single = CoefficientPattern("single").materialize(6)
+        for d in (1, 2, 3, 5, 30):
+            assert np.all(sample_sum_norms([-0.7], d, 5000, seed=d) == 0.7)
+            assert np.all(sample_sum_norms(single, d, 5000, seed=d) == 1.0)
 
 
 class TestMcTail:
@@ -129,6 +154,8 @@ class TestMcTail:
             mc_tail(q, 0, seed=0)
         with pytest.raises(ValueError):
             mc_tail(q, 10, seed=0, alpha=1.5)
+        with pytest.raises(ValueError, match="workers"):
+            mc_tail(q, 10, seed=0, workers=0)
 
 
 class TestClopperPearson:
