@@ -43,7 +43,7 @@ from .sampling import (
     CapacityError,
     exact_rademacher_tail,
     fourth_moment_exact,
-    mc_tail,
+    sample_sum_norms,
     second_moment_exact,
 )
 
@@ -306,7 +306,7 @@ def cmd_check(args) -> int:
             raise ValueError(f"check {args.which} needs {flag}")
         return value
 
-    result_obj = None
+    result = None  # the ComparisonVerdict of bc, gauss and kwapien
     exit_code = 0
     if args.which == "schur":
         pair = MajorizationPair(tuple(need("--a-sq", args.a_sq)), tuple(need("--b-sq", args.b_sq)))
@@ -362,9 +362,6 @@ def cmd_check(args) -> int:
         result = bc_comparison_check(
             fn, pair, need("--d", args.d), args.samples, args.seed, args.alpha
         )
-        _print_verdict(result)
-        result_obj = dataclasses.asdict(result)
-        exit_code = 1 if result.verdict == "VIOLATED" else 0
     elif args.which == "gauss":
         fn = parse_test_function(need("--f", args.f))
         result = gaussian_comparison_check(
@@ -375,12 +372,7 @@ def cmd_check(args) -> int:
             args.seed,
             args.alpha,
         )
-        _print_verdict(result)
-        result_obj = dataclasses.asdict(result)
-        exit_code = 1 if result.verdict == "VIOLATED" else 0
     elif args.which == "lemma2":
-        from .sampling import sample_sum_norms
-
         coeffs = need("--xi-coeffs", args.xi_coeffs)
         d = need("--d", args.d)
         suite = [
@@ -405,10 +397,11 @@ def cmd_check(args) -> int:
             args.alpha,
             allow_p2=args.allow_p2,
         )
+
+    if result is not None:
         _print_verdict(result)
         result_obj = dataclasses.asdict(result)
         exit_code = 1 if result.verdict == "VIOLATED" else 0
-
     if args.format == "json":
         print(json.dumps(result_obj, indent=2, default=str))
     return exit_code

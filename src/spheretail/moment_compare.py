@@ -17,10 +17,10 @@ bounds into testable predicates:
 Honesty of verdicts
 -------------------
 A finite function suite or a Monte Carlo run can never prove a "for all"
-statement.  Statistical comparisons are therefore reported as HOLDS /
-VIOLATED only when the relevant confidence interval separates the sides
-(or both sides are exact), and INCONCLUSIVE otherwise -- never as a silent
-pass.  Hypothesis-style checks report "consistent", never "proven".
+statement.  Every verdict is ``sampling.judge`` of a confidence interval
+for the margin (a point when both sides are exact): HOLDS or VIOLATED only
+when it excludes 0, INCONCLUSIVE otherwise -- never a silent pass.
+Hypothesis-style checks report "consistent", never "proven".
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .sampling import (
     cos_marginal,
     fourth_moment_exact,
     gaussian_fourth_moment,
+    judge,
     map_sum_norms,
     second_moment_exact,
 )
@@ -174,6 +175,12 @@ def _is_power(fn: TestFunction, p: float) -> bool:
     return fn.kind == "power" and fn.param == p and fn.sign > 0
 
 
+def _z(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+
+
 # ---------------------------------------------------------------------------
 # Class-C membership
 # ---------------------------------------------------------------------------
@@ -267,6 +274,10 @@ class BisubTriple:
     margin: float
     se: float
     status: str  # "pass" | "fail" | "inconclusive"
+
+
+#: a triple's status for each verdict of ``judge``, from best to worst
+_BISUB_STATUS = {"HOLDS": "pass", "INCONCLUSIVE": "inconclusive", "VIOLATED": "fail"}
 
 
 @dataclass(frozen=True)
@@ -363,7 +374,7 @@ def is_bisubharmonic_numeric(
         raise ValueError("y_set must be nonempty")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = _z(alpha)
 
     triples: list[BisubTriple] = []
     profile_scale = 1.0
@@ -403,20 +414,9 @@ def is_bisubharmonic_numeric(
     tol_used = atol if atol is not None else 1e-9 * profile_scale
     judged = []
     for tr in triples:
-        if tr.margin + z * tr.se < -tol_used:
-            status = "fail"
-        elif tr.margin - z * tr.se >= -tol_used:
-            status = "pass"
-        else:
-            status = "inconclusive"
-        judged.append(replace(tr, status=status))
-
-    if any(t.status == "fail" for t in judged):
-        overall = "fail"
-    elif any(t.status == "inconclusive" for t in judged):
-        overall = "inconclusive"
-    else:
-        overall = "pass"
+        verdict = judge(tr.margin - z * tr.se, tr.margin + z * tr.se, -tol_used)
+        judged.append(replace(tr, status=_BISUB_STATUS[verdict]))
+    overall = max((t.status for t in judged), key=list(_BISUB_STATUS.values()).index)
     return BisubReport(
         status=overall, triples=tuple(judged), method=method, atol=tol_used, alpha=alpha
     )
@@ -480,9 +480,9 @@ def schur_majorizes(pair: MajorizationPair, tol: float = 1e-12) -> bool:
 class ComparisonVerdict:
     """Two-sided comparison lhs <= rhs with margin = rhs - lhs.
 
-    ``conclusive`` is True only when the margin's confidence interval
-    excludes 0 or both sides are exact; the verdict is then HOLDS or
-    VIOLATED, and INCONCLUSIVE otherwise.
+    The verdict judges the interval margin +- z margin_se (an exact margin
+    has margin_se 0): HOLDS or VIOLATED, and then ``conclusive``, when it
+    excludes 0, INCONCLUSIVE otherwise.
     """
 
     lhs: float
@@ -502,38 +502,14 @@ class ComparisonVerdict:
         return self.verdict == "HOLDS"
 
 
-def _build_verdict(
+def _verdict(
     lhs, rhs, margin, margin_se, alpha, method, lhs_se=0.0, rhs_se=0.0, note=""
 ) -> ComparisonVerdict:
-    if margin_se == 0.0:
-        verdict = "HOLDS" if margin >= 0.0 else "VIOLATED"
-        conclusive = True
-    else:
-        z = float(stats.norm.ppf(1.0 - alpha / 2.0))
-        if margin - z * margin_se > 0.0:
-            verdict, conclusive = "HOLDS", True
-        elif margin + z * margin_se < 0.0:
-            verdict, conclusive = "VIOLATED", True
-        else:
-            verdict, conclusive = "INCONCLUSIVE", False
+    half = _z(alpha) * margin_se
+    verdict = judge(margin - half, margin + half)
+    conclusive = verdict != "INCONCLUSIVE"
     return ComparisonVerdict(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        lhs_se=lhs_se,
-        rhs_se=rhs_se,
-        margin_se=margin_se,
-        conclusive=conclusive,
-        verdict=verdict,
-        method=method,
-        alpha=alpha,
-        note=note,
-    )
-
-
-def _judge(lhs, rhs, margin_se, alpha, method, lhs_se=0.0, rhs_se=0.0, note=""):
-    return _build_verdict(
-        lhs, rhs, rhs - lhs, margin_se, alpha, method, lhs_se, rhs_se, note
+        lhs, rhs, margin, lhs_se, rhs_se, margin_se, conclusive, verdict, method, alpha, note
     )
 
 
@@ -561,16 +537,24 @@ def _mc_means(
     values: Callable[[np.ndarray], np.ndarray], rows, d: int, samples: int, seed: int
 ) -> list[tuple[float, float]]:
     """(mean, standard error) of each row of values(norms), over the sample
-    stream of ``rows`` (see ``sampling.map_sum_norms``)."""
+    stream of ``rows`` (see ``sampling.map_sum_norms``).
 
-    def moments(r: np.ndarray) -> np.ndarray:
+    Each chunk sums its squared deviations about its own mean; the chunks
+    merge as M2 = sum M2_k + sum n_k (mean_k - mean)^2 (Chan, Golub and
+    LeVeque), which does not cancel; a constant sample's error is rounding noise.
+    """
+
+    def moments(r: np.ndarray):
         v = np.atleast_2d(values(r))
-        return np.stack([v.sum(axis=1), (v * v).sum(axis=1)])
+        total = v.sum(axis=1)
+        dev = v - (total / v.shape[1])[:, None]
+        return v.shape[1], total, np.einsum("ij,ij->i", dev, dev)
 
-    total, total_sq = np.sum(map_sum_norms(moments, rows, d, samples, seed), axis=0)
-    means = total / samples
-    var = np.maximum(0.0, (total_sq - samples * means * means) / max(1, samples - 1))
-    return [(float(m), math.sqrt(v / samples)) for m, v in zip(means, var)]
+    sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
+    sizes, totals = np.array(sizes, dtype=float), np.array(totals)
+    means = np.sum(totals, axis=0) / samples
+    m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
+    return [(float(m), math.sqrt(v / max(1, samples - 1) / samples)) for m, v in zip(means, m2)]
 
 
 def bc_comparison_check(
@@ -604,13 +588,14 @@ def bc_comparison_check(
     # exact moment paths work on the squared tuples directly (no sqrt
     # round-trip), so equal-sum pairs compare with margin exactly zero
     if _is_power(fn, 2.0):
-        lhs = math.fsum(pair.a_sq)
-        rhs = math.fsum(pair.b_sq)
-        return _judge(lhs, rhs, 0.0, alpha, "exact-m2", note="equal-sum second moments")
+        lhs, rhs = math.fsum(pair.a_sq), math.fsum(pair.b_sq)
+        return _verdict(
+            lhs, rhs, rhs - lhs, 0.0, alpha, "exact-m2", note="equal-sum second moments"
+        )
     if _is_power(fn, 4.0):
         lhs = _fourth_moment_from_squares(pair.a_sq, d)
         rhs = _fourth_moment_from_squares(pair.b_sq, d)
-        return _judge(lhs, rhs, 0.0, alpha, "exact-m4")
+        return _verdict(lhs, rhs, rhs - lhs, 0.0, alpha, "exact-m4")
 
     def sides(r: np.ndarray) -> np.ndarray:
         la, lb = fn.h(r)
@@ -619,9 +604,7 @@ def bc_comparison_check(
     (lhs, lhs_se), (rhs, rhs_se), (margin, margin_se) = _mc_means(
         sides, np.stack([a, b]), d, samples, seed
     )
-    return _build_verdict(
-        lhs, rhs, margin, margin_se, alpha, "mc-crn", lhs_se=lhs_se, rhs_se=rhs_se
-    )
+    return _verdict(lhs, rhs, margin, margin_se, alpha, "mc-crn", lhs_se=lhs_se, rhs_se=rhs_se)
 
 
 def gaussian_comparison_check(
@@ -665,7 +648,7 @@ def gaussian_comparison_check(
     else:
         [(lhs, lhs_se)] = _mc_means(fn.h, a, d, samples, seed)
         method = "mc-vs-exact"
-    return _judge(lhs, rhs, lhs_se, alpha, method, lhs_se=lhs_se)
+    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se)
 
 
 @dataclass(frozen=True)
@@ -704,7 +687,7 @@ def lemma2_hypothesis_check(
         raise ValueError("xi_samples must be a 1-d sample with >= 2 points")
     if not np.all(np.isfinite(xi)) or np.any(xi < 0):
         raise ValueError("xi_samples must be finite and nonnegative")
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = _z(alpha)
 
     results = []
     for fn in h_suite:
@@ -732,21 +715,20 @@ def lemma2_hypothesis_check(
         else:
             rhs = chi_expectation(d, fn.h)
         margin = rhs - lhs
-        violated = margin + z * lhs_se < 0.0
-        conclusive = violated or (margin - z * lhs_se > 0.0)
+        verdict = judge(margin - z * lhs_se, margin + z * lhs_se)
         results.append(
             HypothesisResult(
                 label=fn.label,
-                verdict="VIOLATED" if violated else "CONSISTENT",
+                verdict=verdict if verdict == "VIOLATED" else "CONSISTENT",
                 lhs=lhs,
                 lhs_se=lhs_se,
                 rhs=rhs,
                 margin=margin,
-                conclusive=conclusive,
+                conclusive=verdict != "INCONCLUSIVE",
                 class_c=report,
-                note="consistent with the hypothesis (finite suite, not a proof)"
-                if not violated
-                else "empirical mean conclusively exceeds the Gaussian side",
+                note="empirical mean conclusively exceeds the Gaussian side"
+                if verdict == "VIOLATED"
+                else "consistent with the hypothesis (finite suite, not a proof)",
             )
         )
     return results
@@ -790,4 +772,4 @@ def kwapien_check(
     else:
         [(lhs, lhs_se)] = _mc_means(lambda r: r**p, a, d, samples, seed)
         method = "mc-vs-exact"
-    return _judge(lhs, rhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)
+    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)

@@ -18,17 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundConstant,
-    BoundResult,
-    TailQuery,
-    coeff_array,
-    get_constant,
-    scale,
-    theorem_bound,
-)
+from .bounds import BoundResult, TailQuery, coeff_array, get_constant, scale, theorem_bound
 from .gaussian_chi import chi_tail, chi_tail_inverse
-from .sampling import CapacityError, McEstimate, mc_tail_multi
+from .sampling import CapacityError, McEstimate, judge, mc_tail_multi
 
 #: frozen CSV schema, one row per (query, constant)
 CSV_COLUMNS = (
@@ -256,15 +248,11 @@ def _fmt(v) -> str:
 def classify(estimate: McEstimate, bound: BoundResult) -> str:
     """HOLDS / VIOLATED / INCONCLUSIVE against the raw bound.
 
-    VIOLATED only when the exact-binomial lower confidence limit exceeds the
-    raw bound (statistically conclusive at the interval's level).  A raw
-    bound >= 1 holds unconditionally since probabilities cannot exceed 1.
+    Judges the exact-binomial interval of raw bound - tail probability, so
+    VIOLATED means the lower confidence limit exceeds the raw bound.  A raw
+    bound >= 1 needs no special case: Clopper-Pearson never exceeds 1.
     """
-    if estimate.ci_low > bound.raw:
-        return "VIOLATED"
-    if bound.raw >= 1.0 or estimate.ci_high <= bound.raw:
-        return "HOLDS"
-    return "INCONCLUSIVE"
+    return judge(bound.raw - estimate.ci_high, bound.raw - estimate.ci_low)
 
 
 def sweep_instances(spec: SweepSpec) -> list[tuple[int, int, CoefficientPattern]]:

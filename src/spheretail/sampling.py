@@ -93,6 +93,20 @@ def clopper_pearson(hits: int, n: int, alpha: float = 0.01) -> tuple[float, floa
     return low, high
 
 
+def judge(low: float, high: float, floor: float = 0.0) -> str:
+    """The verdict on an interval [low, high] for bound - quantity.
+
+    VIOLATED if it lies entirely below ``floor``, HOLDS if it lies at or
+    above it, INCONCLUSIVE if it straddles it.  An exact value x is the
+    interval [x, x].  Every verdict in the package comes from here.
+    """
+    if high < floor:
+        return "VIOLATED"
+    if low >= floor:
+        return "HOLDS"
+    return "INCONCLUSIVE"
+
+
 def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     """``size`` draws of C, one coordinate of a uniform unit vector in R^d.
 

@@ -264,6 +264,15 @@ class TestInputErrors:
                 ["check", "gauss", "--f", "cosh50", "--coeffs", "1,1", "--d", "3"],
                 "integrand is non-finite",
             ),
+            (
+                ["check", "bc", "--f", "power2", "--a-sq", "0.5,0.5", "--b-sq", "0.5,0.5",
+                 "--d", "3", "--alpha", "0"],
+                "alpha must lie in (0, 1), got 0.0",
+            ),
+            (
+                ["check", "bisub", "--f", "power4", "--d", "3", "--alpha", "1.5"],
+                "alpha must lie in (0, 1), got 1.5",
+            ),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):

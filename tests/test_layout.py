@@ -1,0 +1,56 @@
+"""Source-layout rules for the package, checked on its syntax trees.
+
+No module imports a private (single-underscore) name from a sibling, and no
+module other than ``__init__`` imports a name it never uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spheretail"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_package_has_modules():
+    assert {p.name for p in MODULES} >= {"__init__.py", "sampling.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("spheretail"))
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} has unused imports: {unused}"

@@ -368,6 +368,22 @@ class TestKwapien:
         with pytest.raises(ValueError):
             kwapien_check([1.0], 2, 2.0)
 
+    def test_mc_standard_error_matches_two_pass(self):
+        # a nearly constant norm, on which a one-pass sum-of-squares
+        # variance would cancel to 0
+        coeffs, d, p, n = [1.0, 1e-9], 3, 3.5, 200_000
+        verdict = kwapien_check(coeffs, d, p, n, 0)
+        values = sample_sum_norms(coeffs, d, n, seed=0) ** p
+        expected = np.std(values, ddof=1) / math.sqrt(n)
+        assert expected > 0.0
+        assert verdict.lhs_se == pytest.approx(expected, rel=1e-6)
+
+    def test_constant_norm_has_no_mc_error(self):
+        # a zero second coefficient keeps the norm exactly 0.3
+        verdict = kwapien_check([0.3, 0.0], 3, 3.5)
+        assert verdict.method == "mc-vs-exact"
+        assert verdict.lhs_se < 1e-18
+
     def test_p2_override_margin(self):
         verdict = kwapien_check([0.6, 0.8], 3, 2.0, allow_p2=True)
         assert verdict.lhs == 1.0

@@ -21,6 +21,7 @@ from spheretail import (
     exact_rademacher_tail,
     fourth_moment_exact,
     gaussian_fourth_moment,
+    judge,
     mc_tail,
     mc_tail_multi,
     sample_sum_norms,
@@ -175,6 +176,27 @@ class TestClopperPearson:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
+
+
+class TestJudge:
+    @pytest.mark.parametrize(
+        "low, high, floor, verdict",
+        [
+            (0.0, 0.0, 0.0, "HOLDS"),  # the exact zero margin of bc power2
+            (0.0, 0.5, 0.0, "HOLDS"),  # low == floor
+            (2.5, 2.5, 0.0, "HOLDS"),
+            (-1.0, -5e-324, 0.0, "VIOLATED"),  # high just below floor
+            (-3.0, -3.0, 0.0, "VIOLATED"),
+            (-0.1, 0.1, 0.0, "INCONCLUSIVE"),
+            (-0.1, 0.0, 0.0, "INCONCLUSIVE"),  # high == floor, low below
+            (-1e-9, -1e-9, -1e-9, "HOLDS"),  # a nonzero floor, as bisub's -atol
+            (-1e-9, 1.0, -1e-9, "HOLDS"),
+            (-2.0, math.nextafter(-1e-9, -1.0), -1e-9, "VIOLATED"),
+            (-2e-9, 0.0, -1e-9, "INCONCLUSIVE"),
+        ],
+    )
+    def test_boundaries(self, low, high, floor, verdict):
+        assert judge(low, high, floor) == verdict
 
 
 class TestExactRademacherTail:
