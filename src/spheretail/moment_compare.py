@@ -35,8 +35,6 @@ from scipy import stats
 from .bounds import coeff_array, scale
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
 from .sampling import (
-    RngStream,
-    cos_marginal,
     fourth_moment_exact,
     gaussian_fourth_moment,
     judge,
@@ -96,16 +94,6 @@ class TestFunction:
         """f(x) = h(||x||) applied along the last axis."""
         v = np.asarray(vectors, dtype=float)
         return self.h(np.sqrt(np.einsum("...k,...k->...", v, v)))
-
-    @property
-    def even(self) -> bool:
-        return True if self.kind != "table" else self.declared_even
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.kind == "table":
-            return (self.xs[0], self.xs[-1])
-        return (-math.inf, math.inf)
 
     @property
     def label(self) -> str:
@@ -179,6 +167,30 @@ def _z(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return float(stats.norm.ppf(1.0 - alpha / 2.0))
+
+
+def _mc_means(
+    values: Callable[[np.ndarray], np.ndarray], rows, d: int, samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """(mean, standard error) of each row of values(norms), over the sample
+    stream of ``rows`` (see ``sampling.map_sum_norms``).
+
+    Each chunk sums its squared deviations about its own mean; the chunks
+    merge as M2 = sum M2_k + sum n_k (mean_k - mean)^2 (Chan, Golub and
+    LeVeque), which does not cancel; a constant sample's error is rounding noise.
+    """
+
+    def moments(r: np.ndarray):
+        v = np.atleast_2d(values(r))
+        total = v.sum(axis=1)
+        dev = v - (total / v.shape[1])[:, None]
+        return v.shape[1], total, np.einsum("ij,ij->i", dev, dev)
+
+    sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
+    sizes, totals = np.array(sizes, dtype=float), np.array(totals)
+    means = np.sum(totals, axis=0) / samples
+    m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
+    return [(float(m), math.sqrt(v / max(1, samples - 1) / samples)) for m, v in zip(means, m2)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +311,17 @@ class BisubReport:
         return min(t.margin for t in self.triples)
 
 
-def _y_norms(y_set) -> list[float]:
-    norms = []
-    for y in y_set:
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        norms.append(float(np.sqrt(arr @ arr)))
-    return norms
-
-
-def _cos_weights(d: int, nodes: int = 257) -> tuple[np.ndarray, np.ndarray]:
+def _cos_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for E over cos(angle between U and a fixed direction).
 
-    Returns (cos theta_i, normalized weights) with weight density
-    proportional to sin^(d-2) theta on [0, pi]; self-normalized so constants
-    integrate exactly to 1.
+    Returns (cos theta_i, normalized weights): the two points +-1 for d = 1,
+    else 257 Gauss-Legendre nodes with weight density proportional to
+    sin^(d-2) theta on [0, pi], self-normalized so constants integrate
+    exactly to 1.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    if d == 1:
+        return np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    t, w = np.polynomial.legendre.leggauss(257)
     theta = 0.5 * math.pi * (t + 1.0)
     w = w * (0.5 * math.pi) * np.sin(theta) ** (d - 2)
     return np.cos(theta), w / w.sum()
@@ -322,17 +329,39 @@ def _cos_weights(d: int, nodes: int = 257) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_profile_quadrature(fn, d, y_norm, ts) -> np.ndarray:
     """m(t) = E h(||y + U sqrt t||) via the cosine-marginal quadrature."""
-    if d == 1:
-        cosv = np.array([1.0, -1.0])
-        wts = np.array([0.5, 0.5])
-    else:
-        cosv, wts = _cos_weights(d)
+    cosv, wts = _cos_weights(d)
     y2 = y_norm * y_norm
     out = np.empty(len(ts))
     for j, t in enumerate(ts):
         r2 = np.clip(y2 + t + 2.0 * math.sqrt(t) * y_norm * cosv, 0.0, None)
         out[j] = float(wts @ fn.h(np.sqrt(r2)))
     return out
+
+
+def _bisub_mc(fn, d, norms, ts, npairs, seed):
+    """Monte Carlo profiles E h(||y + U sqrt t||) (one row per center), their
+    midpoint margins and the margins' standard errors.
+
+    ||y + U sqrt t|| has the law of ||sqrt t U_1 + |y| U_2||, a two-term sum
+    on the engine.  The rows (sqrt t, +|y|) and (sqrt t, -|y|) share every
+    cosine draw, so they are antithetic pairs; all centers and grid points
+    share the draws too.  The chain starts at R = sqrt t without a draw, so
+    a zero center leaves every sample exact.
+    """
+    k, m = len(norms), ts.size
+    y = np.repeat(norms, m)
+    root_t = np.tile(np.sqrt(ts), k)
+    rows = np.concatenate([np.stack([root_t, y], axis=1), np.stack([root_t, -y], axis=1)])
+
+    def values(r: np.ndarray) -> np.ndarray:
+        h = fn.h(r).reshape(2, k, m, -1)
+        prof = 0.5 * (h[0] + h[1])
+        marg = prof[:, :-2] + prof[:, 2:] - 2.0 * prof[:, 1:-1]
+        return np.concatenate([prof.reshape(k * m, -1), marg.reshape(k * (m - 2), -1)])
+
+    est = np.array(_mc_means(values, rows, d, npairs, seed))
+    margins, ses = est[k * m :].T.reshape(2, k, m - 2)
+    return est[: k * m, 0].reshape(k, m), margins, ses
 
 
 def is_bisubharmonic_numeric(
@@ -343,7 +372,6 @@ def is_bisubharmonic_numeric(
     samples: int = 20_000,
     seed: int = 0,
     alpha: float = 0.01,
-    atol: float | None = None,
     method: str = "mc",
 ) -> BisubReport:
     """Test convexity of t -> E f(y + U sqrt t) for the radial f = h(||.||).
@@ -353,13 +381,14 @@ def is_bisubharmonic_numeric(
     conclusively negative.  Since f is radial, a center enters only through
     its norm: ``y_set`` may hold vectors or plain norms.
 
-    method="mc" estimates the margins with antithetic pairs and common
-    random numbers across the whole grid (for pure powers 2 and 4 the margin
-    is then exact); a triple is a *fail* only when its confidence interval
-    sits entirely below -atol, a *pass* when it sits entirely above, and
-    *inconclusive* otherwise -- wide intervals are never reported as a pass.
-    method="quadrature" computes the profile deterministically from the
-    cosine marginal instead.
+    method="mc" estimates the margins from samples // 2 antithetic pairs on
+    the sampling engine, with common random numbers across the whole grid
+    (for pure powers 2 and 4 the margin is then exact); a triple is a *fail*
+    only when its confidence interval sits entirely below -atol, a *pass*
+    when it sits entirely above, and *inconclusive* otherwise -- wide
+    intervals are never reported as a pass.  atol is 1e-9 times the profile
+    scale.  method="quadrature" computes the profile deterministically from
+    the cosine marginal instead.
     """
     d = check_dimension(d)
     ts = np.asarray(
@@ -369,57 +398,29 @@ def is_bisubharmonic_numeric(
         raise ValueError("t_grid needs at least 3 points")
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be strictly increasing and positive")
-    norms = _y_norms(y_set)
+    norms = [math.sqrt(v @ v) for v in (np.atleast_1d(np.asarray(y, dtype=float)) for y in y_set)]
     if not norms:
         raise ValueError("y_set must be nonempty")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     z = _z(alpha)
 
-    triples: list[BisubTriple] = []
-    profile_scale = 1.0
-    for yi, y_norm in enumerate(norms):
-        if method == "quadrature":
-            m = _mean_profile_quadrature(fn, d, y_norm, ts)
-            means = m[:-2] + m[2:] - 2.0 * m[1:-1]
-            ses = np.zeros_like(means)
-            profile_scale = max(profile_scale, float(np.abs(m).max()))
-        else:
-            npairs = max(2, samples // 2)
-            c = y_norm * cos_marginal(RngStream(seed, yi).generator(), d, npairs)
-            y2 = y_norm * y_norm
-            vt = np.empty((npairs, ts.size))
-            for j, t in enumerate(ts):
-                shift = 2.0 * math.sqrt(t) * c
-                rp = np.sqrt(np.clip(y2 + t + shift, 0.0, None))
-                rm = np.sqrt(np.clip(y2 + t - shift, 0.0, None))
-                vt[:, j] = 0.5 * (fn.h(rp) + fn.h(rm))
-            mvals = vt[:, :-2] + vt[:, 2:] - 2.0 * vt[:, 1:-1]
-            means = mvals.mean(axis=0)
-            ses = mvals.std(axis=0, ddof=1) / math.sqrt(npairs)
-            profile_scale = max(profile_scale, float(np.abs(vt.mean(axis=0)).max()))
-        for j in range(means.size):
-            triples.append(
-                BisubTriple(
-                    y_norm=y_norm,
-                    t_low=float(ts[j]),
-                    t_mid=float(ts[j + 1]),
-                    t_high=float(ts[j + 2]),
-                    margin=float(means[j]),
-                    se=float(ses[j]),
-                    status="",
-                )
-            )
-
-    tol_used = atol if atol is not None else 1e-9 * profile_scale
-    judged = []
-    for tr in triples:
-        verdict = judge(tr.margin - z * tr.se, tr.margin + z * tr.se, -tol_used)
-        judged.append(replace(tr, status=_BISUB_STATUS[verdict]))
-    overall = max((t.status for t in judged), key=list(_BISUB_STATUS.values()).index)
-    return BisubReport(
-        status=overall, triples=tuple(judged), method=method, atol=tol_used, alpha=alpha
+    if method == "quadrature":
+        profiles = np.array([_mean_profile_quadrature(fn, d, y, ts) for y in norms])
+        margins = profiles[:, :-2] + profiles[:, 2:] - 2.0 * profiles[:, 1:-1]
+        ses = np.zeros_like(margins)
+    else:
+        profiles, margins, ses = _bisub_mc(fn, d, norms, ts, max(2, samples // 2), seed)
+    atol = 1e-9 * max(1.0, float(np.abs(profiles).max()))
+    triples = tuple(
+        BisubTriple(
+            y, *ts[j : j + 3].tolist(), m, s, _BISUB_STATUS[judge(m - z * s, m + z * s, -atol)]
+        )
+        for y, m_row, s_row in zip(norms, margins.tolist(), ses.tolist())
+        for j, (m, s) in enumerate(zip(m_row, s_row))
     )
+    overall = max((t.status for t in triples), key=list(_BISUB_STATUS.values()).index)
+    return BisubReport(overall, triples, method, atol, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -533,28 +534,15 @@ def _certify_comparison_function(fn: TestFunction, d: int) -> None:
         )
 
 
-def _mc_means(
-    values: Callable[[np.ndarray], np.ndarray], rows, d: int, samples: int, seed: int
-) -> list[tuple[float, float]]:
-    """(mean, standard error) of each row of values(norms), over the sample
-    stream of ``rows`` (see ``sampling.map_sum_norms``).
-
-    Each chunk sums its squared deviations about its own mean; the chunks
-    merge as M2 = sum M2_k + sum n_k (mean_k - mean)^2 (Chan, Golub and
-    LeVeque), which does not cancel; a constant sample's error is rounding noise.
-    """
-
-    def moments(r: np.ndarray):
-        v = np.atleast_2d(values(r))
-        total = v.sum(axis=1)
-        dev = v - (total / v.shape[1])[:, None]
-        return v.shape[1], total, np.einsum("ij,ij->i", dev, dev)
-
-    sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
-    sizes, totals = np.array(sizes, dtype=float), np.array(totals)
-    means = np.sum(totals, axis=0) / samples
-    m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
-    return [(float(m), math.sqrt(v / max(1, samples - 1) / samples)) for m, v in zip(means, m2)]
+def _sphere_side(fn: TestFunction, a: np.ndarray, d: int, samples: int, seed: int):
+    """(E h(||sum a_i U_i||), its standard error, method): exact for powers 2
+    and 4 (moment oracles), Monte Carlo otherwise."""
+    if _is_power(fn, 2.0):
+        return second_moment_exact(a), 0.0, "exact-m2"
+    if _is_power(fn, 4.0):
+        return fourth_moment_exact(a, d), 0.0, "exact-m4"
+    [(value, se)] = _mc_means(fn.h, a, d, samples, seed)
+    return value, se, "mc-vs-exact"
 
 
 def bc_comparison_check(
@@ -639,15 +627,7 @@ def gaussian_comparison_check(
     else:
         rhs = chi_expectation(d, lambda r: fn.h(a_cmp * r))
 
-    if _is_power(fn, 2.0):
-        lhs, lhs_se = second_moment_exact(a), 0.0
-        method = "exact-m2"
-    elif _is_power(fn, 4.0):
-        lhs, lhs_se = fourth_moment_exact(a, d), 0.0
-        method = "exact-m4"
-    else:
-        [(lhs, lhs_se)] = _mc_means(fn.h, a, d, samples, seed)
-        method = "mc-vs-exact"
+    lhs, lhs_se, method = _sphere_side(fn, a, d, samples, seed)
     return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se)
 
 
@@ -671,7 +651,6 @@ def lemma2_hypothesis_check(
     d,
     h_suite: Sequence[TestFunction],
     alpha: float = 0.01,
-    grid=None,
 ) -> list[HypothesisResult]:
     """Check E h(xi) <= E h(||Z_d||) against an empirical sample of xi for
     each profile in the suite.
@@ -691,7 +670,7 @@ def lemma2_hypothesis_check(
 
     results = []
     for fn in h_suite:
-        report = is_class_c(fn, grid=grid)
+        report = is_class_c(fn)
         if not report.passed:
             results.append(
                 HypothesisResult(
@@ -765,11 +744,6 @@ def kwapien_check(
 
     if a.size == 1:
         lhs, lhs_se, method = abs(float(a[0])) ** p, 0.0, "exact-constant-norm"
-    elif p == 2.0:
-        lhs, lhs_se, method = second_moment_exact(a), 0.0, "exact-m2"
-    elif p == 4.0:
-        lhs, lhs_se, method = fourth_moment_exact(a, d), 0.0, "exact-m4"
     else:
-        [(lhs, lhs_se)] = _mc_means(lambda r: r**p, a, d, samples, seed)
-        method = "mc-vs-exact"
+        lhs, lhs_se, method = _sphere_side(power(p), a, d, samples, seed)
     return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)

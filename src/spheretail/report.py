@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -171,25 +171,8 @@ class VerificationRecord:
     verdict: str
 
     def csv_row(self) -> list[str]:
-        est = self.estimate
-        return [
-            _fmt(self.d),
-            _fmt(self.n),
-            self.pattern,
-            _fmt(self.u),
-            _fmt(self.scale),
-            self.bound.constant.name,
-            _fmt(self.bound.constant.value),
-            _fmt(self.bound.raw),
-            _fmt(self.bound.capped),
-            _fmt(est.p_hat) if est else "",
-            _fmt(est.ci_low) if est else "",
-            _fmt(est.ci_high) if est else "",
-            _fmt(est.hits) if est else "",
-            _fmt(est.n_samples) if est else "",
-            _fmt(est.seed) if est else "",
-            self.verdict,
-        ]
+        row = self.json_dict()
+        return [_fmt(row.get(col, "")) for col in CSV_COLUMNS]
 
     def json_dict(self) -> dict:
         out = {
@@ -228,18 +211,10 @@ class SweepSummary:
     max_ratio_upper: float
     mc_samples_drawn: int
 
-    def json_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "holds": self.holds,
-            "violated": self.violated,
-            "inconclusive": self.inconclusive,
-            "max_ratio_upper": self.max_ratio_upper,
-            "mc_samples_drawn": self.mc_samples_drawn,
-        }
-
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
@@ -341,6 +316,6 @@ def records_to_json(
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc: dict = {"meta": meta}
     if summary is not None:
-        doc["summary"] = summary.json_dict()
+        doc["summary"] = asdict(summary)
     doc["records"] = [rec.json_dict() for rec in records]
     return json.dumps(doc, indent=2) + "\n"

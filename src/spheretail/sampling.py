@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bounds import TailQuery, coeff_array
 from .gaussian_chi import check_dimension
@@ -82,15 +82,23 @@ class McEstimate:
     alpha: float
 
 
-def clopper_pearson(hits: int, n: int, alpha: float = 0.01) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval at level 1 - alpha."""
-    if not 0 <= hits <= n:
+def clopper_pearson(hits, n: int, alpha: float = 0.01):
+    """Exact two-sided binomial confidence interval at level 1 - alpha.
+
+    ``hits`` is a count or an array of counts out of n; a count gives two
+    floats, an array gives the arrays of lower and upper limits.
+    """
+    h = np.asarray(hits)
+    if np.any(h < 0) or np.any(h > n):
         raise ValueError(f"need 0 <= hits <= n, got hits={hits}, n={n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    low = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2.0, hits, n - hits + 1))
-    high = 1.0 if hits == n else float(stats.beta.ppf(1.0 - alpha / 2.0, hits + 1, n - hits))
-    return low, high
+    # beta quantiles; the laws are undefined at hits = 0 and hits = n, where
+    # the limits are 0 and 1, so clamped parameters keep them out of the call
+    q = alpha / 2.0
+    low = np.where(h == 0, 0.0, special.betaincinv(np.maximum(h, 1), n - h + 1, q))
+    high = np.where(h == n, 1.0, special.betaincinv(h + 1, np.maximum(n - h, 1), 1.0 - q))
+    return (float(low), float(high)) if h.ndim == 0 else (low, high)
 
 
 def judge(low: float, high: float, floor: float = 0.0) -> str:
@@ -202,22 +210,11 @@ def mc_tail_multi(
         return np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
 
     hits = np.sum(map_sum_norms(chunk_hits, a, d, n_samples, seed, workers), axis=0)
-    out = []
-    for ui, h in zip(us, hits):
-        h = int(h)
-        low, high = clopper_pearson(h, n_samples, alpha)
-        out.append(
-            McEstimate(
-                p_hat=h / n_samples,
-                ci_low=low,
-                ci_high=high,
-                n_samples=n_samples,
-                hits=h,
-                seed=seed,
-                alpha=alpha,
-            )
-        )
-    return out
+    lows, highs = clopper_pearson(hits, n_samples, alpha)
+    return [
+        McEstimate(int(h) / n_samples, float(lo), float(hi), n_samples, int(h), seed, alpha)
+        for h, lo, hi in zip(hits, lows, highs)
+    ]
 
 
 def mc_tail(

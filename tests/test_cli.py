@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level determinism of reports."""
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -32,6 +34,14 @@ class TestConstantsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "name,value,note"
         assert len(lines) == 6  # four constants + ratio row
+
+    def test_csv_quotes_notes_with_commas(self, capsys):
+        _, out, _ = run_cli(capsys, "constants", "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 3 for row in rows)
+        c3 = next(row for row in rows if row[0] == "C3")
+        assert float(c3[1]) == get_constant("c3").value
+        assert c3[2] == get_constant("c3").note
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--format", "json")

@@ -1,7 +1,9 @@
 """Source-layout rules for the package, checked on its syntax trees.
 
-No module imports a private (single-underscore) name from a sibling, and no
-module other than ``__init__`` imports a name it never uses.
+No module imports a private (single-underscore) name from a sibling, no
+module other than ``__init__`` imports a name it never uses, and no module
+other than ``sampling`` touches a random-number source: every Monte Carlo
+sample comes from its engine.
 """
 
 import ast
@@ -54,3 +56,30 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} has unused imports: {unused}"
+
+
+#: names through which random numbers are drawn
+RANDOM_NAMES = {"RngStream", "cos_marginal", "random", "default_rng", "generator"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in ("sampling.py", "__init__.py")],
+    ids=lambda p: p.name,
+)
+def test_only_sampling_draws_random_numbers(path):
+    # __init__ only re-exports RngStream as part of the public API
+    uses = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        uses += [f"line {node.lineno}: {name}" for name in names if name in RANDOM_NAMES]
+    assert not uses, f"{path.name} draws random numbers outside the engine: {uses}"

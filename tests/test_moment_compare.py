@@ -149,6 +149,28 @@ class TestIsBisubharmonic:
             assert tr.margin == pytest.approx(0.5, rel=1e-12)
             assert tr.se <= 1e-15  # all pairs see the same deterministic value
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_mc_margins_come_from_the_engine_stream(self, d):
+        # ||y + U sqrt t|| is the engine's two-term sum with rows
+        # (sqrt t, +-|y|); both centres share one stream, here over two chunks
+        fn, ts, n, seed = power(3), np.linspace(0.5, 3.0, 6), 40_000, 11
+        report = is_bisubharmonic_numeric(
+            fn, d, y_set=[0.75, 1.5], t_grid=ts, samples=2 * n, seed=seed
+        )
+        for y in (0.75, 1.5):
+            plus, minus = (
+                np.array([fn.h(sample_sum_norms([math.sqrt(t), s], d, n, seed)) for t in ts])
+                for s in (y, -y)
+            )
+            profile = 0.5 * (plus + minus)
+            margins = profile[:-2] + profile[2:] - 2.0 * profile[1:-1]
+            se = margins.std(axis=1, ddof=1) / math.sqrt(n)
+            triples = [tr for tr in report.triples if tr.y_norm == y]
+            assert [tr.margin for tr in triples] == pytest.approx(
+                margins.mean(axis=1).tolist(), rel=1e-12
+            )
+            assert [tr.se for tr in triples] == pytest.approx(se.tolist(), rel=1e-9)
+
     def test_cosh_passes_both_methods(self):
         assert is_bisubharmonic_numeric(cosh_profile(1.0), 3, samples=40_000, seed=2).passed
         assert is_bisubharmonic_numeric(cosh_profile(1.0), 3, method="quadrature").passed
