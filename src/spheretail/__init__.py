@@ -34,8 +34,10 @@ from .moment_compare import (
     TestFunction,
     bc_comparison_check,
     cosh_profile,
+    fourth_moment_exact,
     from_table,
     gaussian_comparison_check,
+    gaussian_fourth_moment,
     is_bisubharmonic_numeric,
     is_class_c,
     kwapien_check,
@@ -43,6 +45,7 @@ from .moment_compare import (
     parse_test_function,
     power,
     schur_majorizes,
+    second_moment_exact,
     softplus_squared,
 )
 from .report import (
@@ -58,11 +61,8 @@ from .sampling import (
     RngStream,
     clopper_pearson,
     exact_rademacher_tail,
-    fourth_moment_exact,
-    gaussian_fourth_moment,
     judge,
     mc_tail,
     mc_tail_multi,
     sample_sum_norms,
-    second_moment_exact,
 )

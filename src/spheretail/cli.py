@@ -22,6 +22,7 @@ from .bounds import TailQuery, constant_table, get_constant, scale, theorem_boun
 from .moment_compare import (
     MajorizationPair,
     bc_comparison_check,
+    fourth_moment_exact,
     gaussian_comparison_check,
     is_bisubharmonic_numeric,
     is_class_c,
@@ -29,6 +30,7 @@ from .moment_compare import (
     lemma2_hypothesis_check,
     majorization_failure,
     parse_test_function,
+    second_moment_exact,
 )
 from .report import (
     DEFAULT_BUDGET,
@@ -40,13 +42,7 @@ from .report import (
     records_to_json,
     run_sweep,
 )
-from .sampling import (
-    CapacityError,
-    exact_rademacher_tail,
-    fourth_moment_exact,
-    sample_sum_norms,
-    second_moment_exact,
-)
+from .sampling import CapacityError, exact_rademacher_tail, sample_sum_norms
 
 
 def _floats(text: str) -> list[float]:

@@ -32,15 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
-from .bounds import coeff_array, scale
+from .bounds import coeff_array
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
-from .sampling import (
-    fourth_moment_exact,
-    gaussian_fourth_moment,
-    judge,
-    map_sum_norms,
-    second_moment_exact,
-)
+from .sampling import judge, map_sum_norms
 
 _LN2 = math.log(2.0)
 
@@ -67,7 +61,6 @@ class TestFunction:
     sign: float = 1.0
     xs: tuple[float, ...] = ()
     ys: tuple[float, ...] = ()
-    declared_even: bool = True
 
     def h(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -126,14 +119,21 @@ def softplus_squared() -> TestFunction:
     return TestFunction("softplus_squared")
 
 
-def from_table(xs: Sequence[float], ys: Sequence[float], even: bool = False) -> TestFunction:
+def from_table(xs: Sequence[float], ys: Sequence[float]) -> TestFunction:
     xs = tuple(float(v) for v in xs)
     ys = tuple(float(v) for v in ys)
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("table needs matching x/y sequences of length >= 2")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("table x values must be strictly increasing")
-    return TestFunction("table", xs=xs, ys=ys, declared_even=even)
+    return TestFunction("table", xs=xs, ys=ys)
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def parse_test_function(token: str) -> TestFunction:
@@ -143,14 +143,14 @@ def parse_test_function(token: str) -> TestFunction:
     negated = t.startswith("-") or t.startswith("neg_")
     if negated:
         t = t[1:] if t.startswith("-") else t[4:]
-    if t.startswith("power"):
-        fn = power(float(t[5:].lstrip(":")))
-    elif t == "cosh":
+    profiles = {"power": power, "cosh": cosh_profile}
+    kind = next((k for k in profiles if t.startswith(k)), None)
+    if t == "cosh":
         fn = cosh_profile(1.0)
-    elif t.startswith("cosh"):
-        fn = cosh_profile(float(t[4:].lstrip(":")))
     elif t in ("softplus_squared", "softplus-squared", "softplus2"):
         fn = softplus_squared()
+    elif kind and (param := _number(t[len(kind) :].lstrip(":"))) is not None:
+        fn = profiles[kind](param)
     else:
         raise ValueError(
             f"unknown test function {token!r}; expected power<p>, cosh[<rate>] "
@@ -178,7 +178,10 @@ def _mc_means(
     Each chunk sums its squared deviations about its own mean; the chunks
     merge as M2 = sum M2_k + sum n_k (mean_k - mean)^2 (Chan, Golub and
     LeVeque), which does not cancel; a constant sample's error is rounding noise.
+    One sample has no error estimate, so fewer than 2 are rejected.
     """
+    if samples < 2:
+        raise ValueError("Monte Carlo needs at least 2 samples to estimate its error")
 
     def moments(r: np.ndarray):
         v = np.atleast_2d(values(r))
@@ -190,7 +193,7 @@ def _mc_means(
     sizes, totals = np.array(sizes, dtype=float), np.array(totals)
     means = np.sum(totals, axis=0) / samples
     m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
-    return [(float(m), math.sqrt(v / max(1, samples - 1) / samples)) for m, v in zip(means, m2)]
+    return [(float(m), math.sqrt(v / (samples - 1) / samples)) for m, v in zip(means, m2)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +476,67 @@ def schur_majorizes(pair: MajorizationPair, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Comparison verdicts
+# Moment oracles and comparison verdicts
 # ---------------------------------------------------------------------------
+
+
+def _moments(sq: Sequence[float], d: int) -> tuple[float, float]:
+    """(E ||S||^2, E ||S||^4) for S = sum a_i U_i in R^d, from sq = (a_i^2).
+
+    Cross terms vanish in the second moment; expanding (||S||^2)^2 with
+    E (U_i . U_j)^2 = 1/d for i != j gives sum a_i^4 + (2 + 4/d) sum_{i<j}
+    a_i^2 a_j^2.  Both sums are correctly rounded (math.fsum), so neither
+    moment depends on the order or the signs of the coefficients.
+    """
+    t2 = math.fsum(sq)
+    t4 = math.fsum(v * v for v in sq)
+    return t2, t4 + (2.0 + 4.0 / d) * 0.5 * (t2 * t2 - t4)
+
+
+def _squares(coeffs: Sequence[float]) -> list[float]:
+    a = coeff_array(coeffs)
+    return (a * a).tolist()
+
+
+def second_moment_exact(coeffs: Sequence[float]) -> float:
+    """E ||sum a_i U_i||^2 = sum a_i^2, in every dimension."""
+    return _moments(_squares(coeffs), 1)[0]
+
+
+def fourth_moment_exact(coeffs: Sequence[float], d) -> float:
+    """E ||sum a_i U_i||^4 in R^d, in closed form (see ``_moments``)."""
+    return _moments(_squares(coeffs), check_dimension(d))[1]
+
+
+def gaussian_fourth_moment(coeffs: Sequence[float], d) -> float:
+    """E ||a Z_d||^4 = (sum a_i^2)^2 (1 + 2/d) with a = sqrt(sum a_i^2 / d); it
+    exceeds ``fourth_moment_exact`` by exactly (2/d) sum a_i^4."""
+    return _gauss_side(power(4), second_moment_exact(coeffs), check_dimension(d))
+
+
+def _exact_sphere_side(fn: TestFunction, sq: Sequence[float], d: int) -> tuple[float | None, str]:
+    """(E h(||sum a_i U_i||), method) from sq = (a_i^2), or (None, "") when
+    no exact law is known.  One coefficient gives the constant norm
+    sqrt(sq[0]) = |a_1| (a correctly rounded root of a correctly rounded
+    square); powers 2 and 4 have the closed forms of ``_moments``."""
+    if len(sq) == 1:
+        return float(fn.h(math.sqrt(sq[0]))), "exact-constant-norm"
+    if _is_power(fn, 2.0) or _is_power(fn, 4.0):
+        m2, m4 = _moments(sq, d)
+        return (m2, "exact-m2") if fn.param == 2.0 else (m4, "exact-m4")
+    return None, ""
+
+
+def _gauss_side(fn: TestFunction, t2: float, d: int) -> float:
+    """E h(sqrt(t2 / d) ||Z_d||): a chi moment for powers, quadrature against
+    the chi density otherwise.  E ||Z_d||^2 = d, so the second moment is t2
+    itself, which keeps a p = 2 variance match exact; at t2 = d the scale is
+    exactly 1, so every power gives ``chi_moment`` unchanged."""
+    if fn.kind != "power":
+        a = math.sqrt(t2 / d)
+        return chi_expectation(d, lambda r: fn.h(a * r))
+    p = fn.param
+    return fn.sign * (t2 if p == 2.0 else (t2 / d) ** (0.5 * p) * chi_moment(d, p))
 
 
 @dataclass(frozen=True)
@@ -514,12 +576,6 @@ def _verdict(
     )
 
 
-def _fourth_moment_from_squares(sq: Sequence[float], d: int) -> float:
-    t2 = math.fsum(sq)
-    t4 = math.fsum(v * v for v in sq)
-    return t4 + (2.0 + 4.0 / d) * 0.5 * (t2 * t2 - t4)
-
-
 def _certify_comparison_function(fn: TestFunction, d: int) -> None:
     """Reject test functions whose radial lift is not (certifiably)
     bisubharmonic: powers 2 and 4 are certified analytically, anything else
@@ -534,15 +590,20 @@ def _certify_comparison_function(fn: TestFunction, d: int) -> None:
         )
 
 
-def _sphere_side(fn: TestFunction, a: np.ndarray, d: int, samples: int, seed: int):
-    """(E h(||sum a_i U_i||), its standard error, method): exact for powers 2
-    and 4 (moment oracles), Monte Carlo otherwise."""
-    if _is_power(fn, 2.0):
-        return second_moment_exact(a), 0.0, "exact-m2"
-    if _is_power(fn, 4.0):
-        return fourth_moment_exact(a, d), 0.0, "exact-m4"
-    [(value, se)] = _mc_means(fn.h, a, d, samples, seed)
-    return value, se, "mc-vs-exact"
+def _vs_gauss(fn, a, d, t2, samples, seed, alpha, note="") -> ComparisonVerdict:
+    """The verdict on E h(||sum a_i U_i||) <= E h(sqrt(t2 / d) ||Z_d||).
+
+    The Gaussian side is exact (``_gauss_side``).  The sphere side is exact
+    where ``_exact_sphere_side`` knows its law and Monte Carlo (mc-vs-exact)
+    otherwise, so only one side ever carries statistical error.
+    """
+    rhs = _gauss_side(fn, t2, d)
+    lhs, method = _exact_sphere_side(fn, (a * a).tolist(), d)
+    lhs_se = 0.0
+    if lhs is None:
+        [(lhs, lhs_se)] = _mc_means(fn.h, a, d, samples, seed)
+        method = "mc-vs-exact"
+    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)
 
 
 def bc_comparison_check(
@@ -555,8 +616,8 @@ def bc_comparison_check(
 ) -> ComparisonVerdict:
     """Check E f(sum a_i U_i) <= E f(sum b_i U_i) for (b^2) majorized by (a^2).
 
-    Powers 2 and 4 are settled by the exact moment oracles (for the second
-    moment the two sides coincide, for the fourth the margin is exact).
+    One coefficient and the powers 2 and 4 are settled exactly (for the
+    second moment the two sides coincide, otherwise the margin is exact).
     Other certified profiles are compared by Monte Carlo with common random
     numbers: both radial chains reuse the same cosine draws, which leaves
     each side's marginal law unchanged but shrinks the variance of the
@@ -570,20 +631,15 @@ def bc_comparison_check(
             f"sorted index {idx}"
         )
     _certify_comparison_function(fn, d)
+
+    # the exact sides work on the squared tuples directly (no sqrt
+    # round-trip), so equal-sum pairs compare with margin exactly zero
+    (lhs, method), (rhs, _) = (_exact_sphere_side(fn, sq, d) for sq in (pair.a_sq, pair.b_sq))
+    if lhs is not None:
+        note = "equal-sum second moments" if method == "exact-m2" else ""
+        return _verdict(lhs, rhs, rhs - lhs, 0.0, alpha, method, note=note)
     a = np.sqrt(np.asarray(pair.a_sq))
     b = np.sqrt(np.asarray(pair.b_sq))
-
-    # exact moment paths work on the squared tuples directly (no sqrt
-    # round-trip), so equal-sum pairs compare with margin exactly zero
-    if _is_power(fn, 2.0):
-        lhs, rhs = math.fsum(pair.a_sq), math.fsum(pair.b_sq)
-        return _verdict(
-            lhs, rhs, rhs - lhs, 0.0, alpha, "exact-m2", note="equal-sum second moments"
-        )
-    if _is_power(fn, 4.0):
-        lhs = _fourth_moment_from_squares(pair.a_sq, d)
-        rhs = _fourth_moment_from_squares(pair.b_sq, d)
-        return _verdict(lhs, rhs, rhs - lhs, 0.0, alpha, "exact-m4")
 
     def sides(r: np.ndarray) -> np.ndarray:
         la, lb = fn.h(r)
@@ -605,43 +661,28 @@ def gaussian_comparison_check(
 ) -> ComparisonVerdict:
     """Check E f(sum a_i U_i) <= E f(a Z_d), a = sqrt(sum a_i^2 / d).
 
-    The Gaussian side is exact: closed-form chi moments for powers,
-    quadrature against the chi density otherwise.  The sphere side is exact
-    for powers 2 and 4 and Monte Carlo otherwise, so only one side ever
-    carries statistical error.
+    The Gaussian side is exact (a chi moment for powers, quadrature
+    otherwise); the sphere side is exact for one coefficient and for powers
+    2 and 4, and Monte Carlo otherwise.
     """
     d = check_dimension(d)
     a = coeff_array(coeffs)
     _certify_comparison_function(fn, d)
-    a_cmp = scale(a, d)
-
-    # for powers 2 and 4 the Gaussian moment collapses to closed forms in
-    # sum a_i^2, evaluated directly so the p = 2 variance-matching identity
-    # (both sides equal sum a_i^2) is exact in floating point
-    if _is_power(fn, 2.0):
-        rhs = second_moment_exact(a)
-    elif _is_power(fn, 4.0):
-        rhs = gaussian_fourth_moment(a, d)
-    elif fn.kind == "power":
-        rhs = fn.sign * a_cmp**fn.param * chi_moment(d, fn.param)
-    else:
-        rhs = chi_expectation(d, lambda r: fn.h(a_cmp * r))
-
-    lhs, lhs_se, method = _sphere_side(fn, a, d, samples, seed)
-    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se)
+    return _vs_gauss(fn, a, d, second_moment_exact(a), samples, seed, alpha)
 
 
 @dataclass(frozen=True)
 class HypothesisResult:
-    """Per-profile outcome of a generalized-moment hypothesis check."""
+    """Per-profile outcome of a generalized-moment hypothesis check; a
+    skipped profile has no sides (nan) and is not conclusive."""
 
     label: str
     verdict: str  # "CONSISTENT" | "VIOLATED" | "SKIPPED_CLASS_C"
-    lhs: float
-    lhs_se: float
-    rhs: float
-    margin: float
-    conclusive: bool
+    lhs: float = math.nan
+    lhs_se: float = math.nan
+    rhs: float = math.nan
+    margin: float = math.nan
+    conclusive: bool = False
     class_c: ClassCReport | None = None
     note: str = ""
 
@@ -672,43 +713,25 @@ def lemma2_hypothesis_check(
     for fn in h_suite:
         report = is_class_c(fn)
         if not report.passed:
+            note = "profile is not in class C; check aborted"
             results.append(
-                HypothesisResult(
-                    label=fn.label,
-                    verdict="SKIPPED_CLASS_C",
-                    lhs=math.nan,
-                    lhs_se=math.nan,
-                    rhs=math.nan,
-                    margin=math.nan,
-                    conclusive=False,
-                    class_c=report,
-                    note="profile is not in class C; check aborted",
-                )
+                HypothesisResult(fn.label, "SKIPPED_CLASS_C", class_c=report, note=note)
             )
             continue
         vals = fn.h(xi)
         lhs = float(vals.mean())
         lhs_se = float(vals.std(ddof=1) / math.sqrt(xi.size))
-        if fn.kind == "power":
-            rhs = fn.sign * chi_moment(d, fn.param)
-        else:
-            rhs = chi_expectation(d, fn.h)
+        rhs = _gauss_side(fn, d, d)
         margin = rhs - lhs
         verdict = judge(margin - z * lhs_se, margin + z * lhs_se)
+        conclusive = verdict != "INCONCLUSIVE"
+        if verdict == "VIOLATED":
+            note = "empirical mean conclusively exceeds the Gaussian side"
+        else:
+            verdict = "CONSISTENT"
+            note = "consistent with the hypothesis (finite suite, not a proof)"
         results.append(
-            HypothesisResult(
-                label=fn.label,
-                verdict=verdict if verdict == "VIOLATED" else "CONSISTENT",
-                lhs=lhs,
-                lhs_se=lhs_se,
-                rhs=rhs,
-                margin=margin,
-                conclusive=verdict != "INCONCLUSIVE",
-                class_c=report,
-                note="empirical mean conclusively exceeds the Gaussian side"
-                if verdict == "VIOLATED"
-                else "consistent with the hypothesis (finite suite, not a proof)",
-            )
+            HypothesisResult(fn.label, verdict, lhs, lhs_se, rhs, margin, conclusive, report, note)
         )
     return results
 
@@ -724,11 +747,10 @@ def kwapien_check(
 ) -> ComparisonVerdict:
     """Check E ||sum a_i U_i||^p <= E ||a Z_d sqrt(d)||^p for real p >= 3.
 
-    The right side is exact: (sum a_i^2)^(p/2) * E||Z_d||^p.  The left side
-    is exact for a single coefficient (the norm is then constant), for p = 2
-    and p = 4 (moment oracles), and Monte Carlo otherwise.  p below 3 is
-    outside the cited comparison and rejected unless ``allow_p2`` explicitly
-    opts into the exploratory p = 2 case.
+    The right side is exact, (sum a_i^2)^(p/2) * E||Z_d||^p; the left side
+    is exact for one coefficient and for p = 2 and 4, and Monte Carlo
+    otherwise.  p below 3 is outside the cited comparison and rejected
+    unless ``allow_p2`` explicitly opts into the exploratory p = 2 case.
     """
     d = check_dimension(d)
     a = coeff_array(coeffs)
@@ -738,12 +760,5 @@ def kwapien_check(
             f"p={p} is outside the p >= 3 range; pass allow_p2=True for the "
             "exploratory p = 2 case"
         )
-    t2 = float(a @ a)
-    rhs = t2 ** (0.5 * p) * chi_moment(d, p)
     note = "exploratory p=2 (holds with slack factor d)" if p == 2.0 else ""
-
-    if a.size == 1:
-        lhs, lhs_se, method = abs(float(a[0])) ** p, 0.0, "exact-constant-norm"
-    else:
-        lhs, lhs_se, method = _sphere_side(power(p), a, d, samples, seed)
-    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)
+    return _vs_gauss(power(p), a, d, d * second_moment_exact(a), samples, seed, alpha, note)

@@ -1,5 +1,5 @@
-"""Deterministic Monte Carlo tail estimation for norms of sums of uniform
-unit vectors, and exact small-instance oracles.
+"""The seeded Monte Carlo engine for norms of sums of uniform unit vectors,
+and the exact Rademacher tail oracle (the d = 1 law) that cross-checks it.
 
 Radial chain
 ------------
@@ -267,38 +267,3 @@ def exact_rademacher_tail(coeffs: Sequence[float], u: float, strict: bool = True
         below = np.searchsorted(right, -u - left, side="right")
     hits = int(above.sum() + below.sum())
     return hits / float(2**n)
-
-
-def second_moment_exact(coeffs: Sequence[float]) -> float:
-    """E ||sum a_i U_i||^2 = sum a_i^2 (cross terms vanish: E U_i . U_j = 0)."""
-    a = coeff_array(coeffs)
-    return float(a @ a)
-
-
-def fourth_moment_exact(coeffs: Sequence[float], d) -> float:
-    """E ||sum a_i U_i||^4, in closed form.
-
-    Expanding (||S||^2)^2 and using E ||U_i||^4 = 1, E ||U_i||^2 ||U_j||^2 = 1
-    and E (U_i . U_j)^2 = 1/d for i != j gives
-
-        sum a_i^4 + (2 + 4/d) sum_{i<j} a_i^2 a_j^2.
-    """
-    a = coeff_array(coeffs)
-    d = check_dimension(d)
-    sq = a * a
-    t2 = float(sq.sum())
-    t4 = float(sq @ sq)
-    pair = 0.5 * (t2 * t2 - t4)
-    return t4 + (2.0 + 4.0 / d) * pair
-
-
-def gaussian_fourth_moment(coeffs: Sequence[float], d) -> float:
-    """E ||a Z_d||^4 with a = sqrt(sum a_i^2 / d): equals (sum a_i^2)^2 (1 + 2/d).
-
-    Dominates ``fourth_moment_exact`` with gap exactly (2/d) sum a_i^4, the
-    fourth-power instance of the Gaussian moment comparison.
-    """
-    a = coeff_array(coeffs)
-    d = check_dimension(d)
-    t2 = float(a @ a)
-    return t2 * t2 * (1.0 + 2.0 / d)

@@ -116,6 +116,11 @@ class TestOracleCommand:
         _, out, _ = run_cli(capsys, "oracle", "m4", "--coeffs", "1,1", "--d", "2")
         assert float(out) == 6.0
 
+    def test_m4_does_not_depend_on_coefficient_order(self, capsys):
+        _, forward, _ = run_cli(capsys, "oracle", "m4", "--coeffs", "0.1,0.2,0.3,0.7", "--d", "3")
+        _, backward, _ = run_cli(capsys, "oracle", "m4", "--coeffs", "0.7,0.3,0.2,0.1", "--d", "3")
+        assert forward == backward
+
     def test_capacity_exit_code(self, capsys):
         coeffs = ",".join(["1"] * 27)
         code, _, err = run_cli(capsys, "oracle", "rademacher", "--coeffs", coeffs, "--u", "1")
@@ -283,12 +288,28 @@ class TestInputErrors:
                 ["check", "bisub", "--f", "power4", "--d", "3", "--alpha", "1.5"],
                 "alpha must lie in (0, 1), got 1.5",
             ),
+            # one sample has no error estimate, so no verdict may rest on it
+            (
+                ["check", "gauss", "--f", "cosh", "--coeffs", "1,1", "--d", "3", "--samples", "1"],
+                "Monte Carlo needs at least 2 samples to estimate its error",
+            ),
+            (
+                ["check", "kwapien", "--coeffs", "0.6,0.8", "--d", "3", "--p", "3",
+                 "--samples", "1"],
+                "Monte Carlo needs at least 2 samples to estimate its error",
+            ),
+            (
+                ["check", "bc", "--f", "cosh", "--a-sq", "0.5,0.3,0.2", "--b-sq", "0.4,0.35,0.25",
+                 "--d", "3", "--samples", "1"],
+                "Monte Carlo needs at least 2 samples to estimate its error",
+            ),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
+        samples = [] if "--samples" in argv else ["--samples", "1000"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, err = run_cli(capsys, *argv, "--samples", "1000")
+            code, _, err = run_cli(capsys, *argv, *samples)
         assert code == 2
         assert message in err
         assert caught == []

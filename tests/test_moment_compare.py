@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretail import (
     MajorizationPair,
@@ -12,8 +14,10 @@ from spheretail import (
     bc_comparison_check,
     chi_moment,
     cosh_profile,
+    fourth_moment_exact,
     from_table,
     gaussian_comparison_check,
+    gaussian_fourth_moment,
     is_bisubharmonic_numeric,
     is_class_c,
     kwapien_check,
@@ -23,6 +27,7 @@ from spheretail import (
     sample_sum_norms,
     scale,
     schur_majorizes,
+    second_moment_exact,
     softplus_squared,
 )
 from spheretail.moment_compare import majorization_failure
@@ -61,9 +66,13 @@ class TestTestFunctions:
         assert parse_test_function("softplus_squared").kind == "softplus_squared"
         with pytest.raises(ValueError):
             parse_test_function("gauss4")
+        # a kind without a number names the token, not the float parser
+        for token in ("power", "cosh:", "powerx", "-power"):
+            with pytest.raises(ValueError, match=f"unknown test function '{token}'"):
+                parse_test_function(token)
 
     def test_table_domain_enforced(self):
-        tab = from_table([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], even=True)
+        tab = from_table([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             tab.h([2.0])
 
@@ -314,6 +323,21 @@ class TestGaussianComparison:
         verdict = gaussian_comparison_check(power(4), [1.0], 1)
         assert verdict.lhs == 1.0 and verdict.rhs == 3.0
 
+    def test_single_coefficient_is_a_constant_norm(self):
+        verdict = gaussian_comparison_check(cosh_profile(), [1.0], 3)
+        assert verdict.method == "exact-constant-norm"
+        assert verdict.lhs == math.cosh(1.0)
+        assert verdict.margin_se == 0.0 and verdict.holds
+
+    def test_second_moment_match_is_exact_in_every_dimension(self):
+        # E ||a Z_d||^2 is sum a_i^2 itself, not (sum a_i^2 / d) * d, so the
+        # margin is exactly 0 for every coefficient count and dimension
+        rng = np.random.default_rng(17)
+        for d in range(1, 61):
+            coeffs = rng.uniform(0.1, 2.0, size=int(rng.integers(1, 6)))
+            verdict = gaussian_comparison_check(power(2), coeffs, d)
+            assert verdict.margin == 0.0 and verdict.holds
+
     def test_cosh_mc_vs_quadrature(self):
         verdict = gaussian_comparison_check(
             cosh_profile(1.0), [1.0, 1.0], 3, samples=100_000, seed=6
@@ -411,3 +435,26 @@ class TestKwapien:
         assert verdict.lhs == 1.0
         assert verdict.rhs == 3.0  # slack factor d
         assert "exploratory" in verdict.note
+
+
+#: finite coefficients, zero or well above the underflow of their fourth power
+coefficient_lists = st.lists(
+    st.floats(-1e3, 1e3).map(lambda x: x if abs(x) > 1e-60 else 0.0), min_size=1, max_size=12
+).filter(lambda a: any(a))
+
+
+class TestMomentOracleProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.integers(1, 50), st.data())
+    def test_invariant_under_signs_and_order(self, coeffs, d, data):
+        n = len(coeffs)
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        moved = data.draw(st.permutations([s * a for s, a in zip(signs, coeffs)]))
+        assert second_moment_exact(moved) == second_moment_exact(coeffs)
+        assert fourth_moment_exact(moved, d) == fourth_moment_exact(coeffs, d)
+        assert gaussian_fourth_moment(moved, d) == gaussian_fourth_moment(coeffs, d)
+
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.integers(1, 50))
+    def test_gaussian_fourth_moment_dominates(self, coeffs, d):
+        assert fourth_moment_exact(coeffs, d) <= gaussian_fourth_moment(coeffs, d)
