@@ -44,7 +44,6 @@ from .moment_compare import (
     lemma2_hypothesis_check,
     parse_test_function,
     power,
-    schur_majorizes,
     second_moment_exact,
     softplus_squared,
 )

@@ -36,6 +36,15 @@ from .gaussian_chi import check_dimension, chi_tail, phi_cdf, phi_tail
 _SQRT2 = math.sqrt(2.0)
 
 
+def sum_sq(entries: Sequence[float]) -> float:
+    """a_1^2 + ... + a_n^2, correctly rounded (math.fsum), so it depends on
+    neither the order nor the signs of the entries; inf on overflow."""
+    try:
+        return math.fsum([v * v for v in np.asarray(entries, dtype=float).tolist()])
+    except OverflowError:  # fsum raises on an intermediate overflow
+        return math.inf
+
+
 def coeff_array(entries: Sequence[float]) -> np.ndarray:
     """Validate a coefficient vector: finite entries, at least one nonzero."""
     a = np.atleast_1d(np.asarray(entries, dtype=float))
@@ -43,8 +52,7 @@ def coeff_array(entries: Sequence[float]) -> np.ndarray:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficients must all be finite")
-    sum_sq = float(a @ a)
-    if sum_sq <= 0.0 or not math.isfinite(sum_sq):
+    if not 0.0 < sum_sq(a) < math.inf:
         raise ValueError("coefficients need a positive, finite sum of squares")
     return a
 
@@ -114,8 +122,8 @@ class TailQuery:
     u: float
 
     def __post_init__(self):
-        object.__setattr__(self, "d", check_dimension(self.d))
         a = coeff_array(self.coeffs)
+        object.__setattr__(self, "d", check_dimension(self.d))
         object.__setattr__(self, "coeffs", tuple(float(v) for v in a))
         u = float(self.u)
         if not math.isfinite(u):
@@ -135,9 +143,14 @@ class BoundResult:
 
 def scale(coeffs: Sequence[float], d) -> float:
     """Comparator scale sqrt((a_1^2 + ... + a_n^2) / d)."""
-    a = coeff_array(coeffs)
-    d = check_dimension(d)
-    return math.sqrt(float(a @ a) / d)
+    return math.sqrt(sum_sq(coeff_array(coeffs)) / check_dimension(d))
+
+
+def _bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
+    """c * P(s ||Z_d|| > u), raw and capped at 1."""
+    c = get_constant(constant)
+    raw = c.value * chi_tail(d, u / s)
+    return BoundResult(constant=c, scale=s, raw=raw, capped=min(raw, 1.0))
 
 
 def theorem_bound(query: TailQuery, constant: str | BoundConstant = C3) -> BoundResult:
@@ -146,10 +159,7 @@ def theorem_bound(query: TailQuery, constant: str | BoundConstant = C3) -> Bound
     The chi-tail factor is 1 for u <= 0, so the raw bound degenerates to the
     constant itself there (the inequality is stated for all real u).
     """
-    c = get_constant(constant)
-    a = scale(query.coeffs, query.d)
-    raw = c.value * chi_tail(query.d, query.u / a)
-    return BoundResult(constant=c, scale=a, raw=raw, capped=min(raw, 1.0))
+    return _bound(constant, scale(query.coeffs, query.d), query.d, query.u)
 
 
 CorollaryVariant = Literal["per_dimension", "as_printed"]
@@ -183,11 +193,8 @@ def corollary_bound(
     u = float(u)
     if not math.isfinite(u):
         raise ValueError(f"threshold must be finite, got {u!r}")
-    sum_sq = float(b @ b)
-    s = math.sqrt(sum_sq / d) if variant == "per_dimension" else math.sqrt(sum_sq)
-    c = get_constant(constant)
-    raw = c.value * chi_tail(d, u / s)
-    return BoundResult(constant=c, scale=s, raw=raw, capped=min(raw, 1.0))
+    total = sum_sq(b)
+    return _bound(constant, math.sqrt(total / d if variant == "per_dimension" else total), d, u)
 
 
 def g_lower(d) -> float:

@@ -189,7 +189,6 @@ def cmd_bound(args) -> int:
     else:
         us = [args.u]
     constants = [get_constant(c) for c in args.constants.split(",")]
-    a_cmp = scale(args.coeffs, args.d)
     records = []
     for u in us:
         query = TailQuery(args.d, tuple(args.coeffs), u)
@@ -200,7 +199,6 @@ def cmd_bound(args) -> int:
                     n=len(args.coeffs),
                     pattern="explicit",
                     u=u,
-                    scale=a_cmp,
                     bound=theorem_bound(query, const),
                     estimate=None,
                     ratio_upper=0.0,
@@ -220,7 +218,7 @@ def cmd_bound(args) -> int:
         for rec in records:
             b = rec.bound
             print(
-                f"d={rec.d} u={rec.u:.6g} scale={rec.scale:.6g} "
+                f"d={rec.d} u={rec.u:.6g} scale={b.scale:.6g} "
                 f"{b.constant.name}: raw={b.raw:.12g} capped={b.capped:.12g}"
             )
     return 0

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
-from .bounds import coeff_array
+from .bounds import coeff_array, sum_sq
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
 from .sampling import judge, map_sum_norms
 
@@ -82,11 +82,6 @@ class TestFunction:
         else:
             raise ValueError(f"unknown test-function kind {self.kind!r}")
         return self.sign * v
-
-    def radial(self, vectors) -> np.ndarray:
-        """f(x) = h(||x||) applied along the last axis."""
-        v = np.asarray(vectors, dtype=float)
-        return self.h(np.sqrt(np.einsum("...k,...k->...", v, v)))
 
     @property
     def label(self) -> str:
@@ -401,7 +396,7 @@ def is_bisubharmonic_numeric(
         raise ValueError("t_grid needs at least 3 points")
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be strictly increasing and positive")
-    norms = [math.sqrt(v @ v) for v in (np.atleast_1d(np.asarray(y, dtype=float)) for y in y_set)]
+    norms = [math.sqrt(sum_sq(np.atleast_1d(y))) for y in y_set]
     if not norms:
         raise ValueError("y_set must be nonempty")
     if method not in ("mc", "quadrature"):
@@ -469,12 +464,6 @@ def majorization_failure(pair: MajorizationPair, tol: float = 1e-12) -> int | No
     return int(bad[0]) if bad.size else None
 
 
-def schur_majorizes(pair: MajorizationPair, tol: float = 1e-12) -> bool:
-    """True iff (b_sq) is majorized by (a_sq): equal totals and every sorted
-    partial sum of b_sq bounded by the corresponding one of a_sq."""
-    return majorization_failure(pair, tol) is None
-
-
 # ---------------------------------------------------------------------------
 # Moment oracles and comparison verdicts
 # ---------------------------------------------------------------------------
@@ -493,19 +482,15 @@ def _moments(sq: Sequence[float], d: int) -> tuple[float, float]:
     return t2, t4 + (2.0 + 4.0 / d) * 0.5 * (t2 * t2 - t4)
 
 
-def _squares(coeffs: Sequence[float]) -> list[float]:
-    a = coeff_array(coeffs)
-    return (a * a).tolist()
-
-
 def second_moment_exact(coeffs: Sequence[float]) -> float:
     """E ||sum a_i U_i||^2 = sum a_i^2, in every dimension."""
-    return _moments(_squares(coeffs), 1)[0]
+    return sum_sq(coeff_array(coeffs))
 
 
 def fourth_moment_exact(coeffs: Sequence[float], d) -> float:
     """E ||sum a_i U_i||^4 in R^d, in closed form (see ``_moments``)."""
-    return _moments(_squares(coeffs), check_dimension(d))[1]
+    a = coeff_array(coeffs)
+    return _moments((a * a).tolist(), check_dimension(d))[1]
 
 
 def gaussian_fourth_moment(coeffs: Sequence[float], d) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundResult, TailQuery, coeff_array, get_constant, scale, theorem_bound
+from .bounds import BoundResult, TailQuery, coeff_array, get_constant, scale, sum_sq, theorem_bound
 from .gaussian_chi import chi_tail, chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_multi
 
@@ -75,7 +75,7 @@ class CoefficientPattern:
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         a = coeff_array(a)
-        return a / math.sqrt(float(a @ a)) if normalize else a
+        return a / math.sqrt(sum_sq(a)) if normalize else a
 
     @property
     def label(self) -> str:
@@ -87,17 +87,21 @@ class CoefficientPattern:
 def parse_pattern(token: str) -> CoefficientPattern:
     """Parse ``equal``, ``single``, ``geometric:<ratio>``, ``explicit:a,b,...``."""
     t = token.strip().lower()
-    if t == "equal":
-        return CoefficientPattern("equal")
-    if t == "single":
-        return CoefficientPattern("single")
-    if t.startswith("geometric"):
-        rest = t[len("geometric") :].lstrip(":")
-        return CoefficientPattern("geometric", ratio=float(rest) if rest else 0.5)
-    if t.startswith("explicit:"):
-        values = tuple(float(v) for v in t.split(":", 1)[1].split(","))
-        return CoefficientPattern("explicit", values=values)
-    raise ValueError(f"unknown coefficient pattern {token!r}")
+    try:
+        if t in ("equal", "single"):
+            return CoefficientPattern(t)
+        if t.startswith("geometric"):
+            rest = t[len("geometric") :].lstrip(":")
+            return CoefficientPattern("geometric", ratio=float(rest) if rest else 0.5)
+        if t.startswith("explicit:"):
+            values = tuple(float(v) for v in t.split(":", 1)[1].split(","))
+            return CoefficientPattern("explicit", values=values)
+    except ValueError:
+        pass  # a malformed number: the token is not a pattern
+    raise ValueError(
+        f"unknown coefficient pattern {token!r}; expected equal, single, "
+        "geometric[:<ratio>] or explicit:<a>,<b>,..."
+    )
 
 
 def parse_pattern_list(text: str) -> tuple[CoefficientPattern, ...]:
@@ -154,6 +158,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one dimension and one pattern")
         if any(k.kind != "explicit" for k in self.patterns) and not self.n_values:
             raise ValueError("sweep needs n values for non-explicit patterns")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError(f"n must be >= 1, got {min(self.n_values)}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,6 @@ class VerificationRecord:
     n: int
     pattern: str
     u: float
-    scale: float
     bound: BoundResult
     estimate: McEstimate | None
     ratio_upper: float
@@ -180,7 +185,7 @@ class VerificationRecord:
             "n": self.n,
             "pattern": self.pattern,
             "u": self.u,
-            "scale": self.scale,
+            "scale": self.bound.scale,
             "constant_name": self.bound.constant.name,
             "constant_value": self.bound.constant.value,
             "bound_raw": self.bound.raw,
@@ -277,7 +282,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[VerificationRecord], SweepSummary]:
                         n=n,
                         pattern=pat.label,
                         u=u,
-                        scale=a_cmp,
                         bound=bound,
                         estimate=est,
                         ratio_upper=ratio,

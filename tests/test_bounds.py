@@ -1,9 +1,12 @@
 """Tests for the constant catalog and closed-form bound evaluators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretail import (
     TailQuery,
@@ -17,8 +20,11 @@ from spheretail import (
     scale,
     theorem_bound,
 )
+from spheretail.bounds import sum_sq
 
 SQRT2 = math.sqrt(2.0)
+
+from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
 
 class TestConstants:
@@ -68,6 +74,46 @@ class TestScale:
             scale([], 2)
         with pytest.raises(ValueError):
             scale([math.nan], 2)
+
+    def test_normalised_equal_coefficients_have_scale_one(self):
+        # ten entries of 1/sqrt(10) sum to 1.0 exactly once rounded
+        assert scale([1.0 / math.sqrt(10.0)] * 10, 1) == 1.0
+
+
+class TestSumOfSquares:
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a square overflows, or the squares overflow only when summed
+            assert sum_sq([1e200, 1e200]) == math.inf
+            assert sum_sq([1.2e154, 1.2e154]) == math.inf
+
+    def test_correctly_rounded(self):
+        # summed left to right, 1e16 + 1 rounds back to 1e16 (twice)
+        assert sum_sq(np.array([1e8, 1.0, -1.0])) == 1e16 + 2.0
+        assert sum_sq([0.1, 0.2, 0.3, 0.7]) == math.fsum([0.1**2, 0.2**2, 0.3**2, 0.7**2])
+
+
+
+
+class TestBoundProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.integers(1, 50), st.floats(-10.0, 1e4), st.data())
+    def test_invariant_under_signs_and_order(self, coeffs, d, u, data):
+        moved = signs_and_order_moved(data, coeffs)
+        assert scale(moved, d) == scale(coeffs, d)
+        assert (
+            theorem_bound(TailQuery(d, tuple(moved), u)).raw
+            == theorem_bound(TailQuery(d, tuple(coeffs), u)).raw
+        )
+        # radius bounds must be positive, so only their order can move
+        radii = [abs(a) for a in coeffs if a != 0.0]
+        moved_radii = data.draw(st.permutations(radii))
+        for variant in ("per_dimension", "as_printed"):
+            assert (
+                corollary_bound(d, moved_radii, u, variant=variant).raw
+                == corollary_bound(d, radii, u, variant=variant).raw
+            )
 
 
 class TestTheoremBound:

@@ -303,10 +303,32 @@ class TestInputErrors:
                  "--d", "3", "--samples", "1"],
                 "Monte Carlo needs at least 2 samples to estimate its error",
             ),
+            # a sum of squares that overflows, in a square or only when summed
+            *(
+                (argv, "coefficients need a positive, finite sum of squares")
+                for big in ("1e200,1e200", "1.2e154,1.2e154")
+                for argv in (
+                    ["bound", "--d", "3", "--coeffs", big, "--u", "1"],
+                    ["verify", "--d", "3", "--patterns", f"explicit:{big}"],
+                    ["oracle", "m2", "--coeffs", big],
+                )
+            ),
+            *(
+                (
+                    ["verify", "--d", "1", "--patterns", token],
+                    f"unknown coefficient pattern '{token}'; expected equal, single, "
+                    "geometric[:<ratio>] or explicit:<a>,<b>,...",
+                )
+                for token in ("geometric:abc", "explicit:1,,2", "explicit:")
+            ),
+            (["verify", "--d", "1", "--n", "-1"], "n must be >= 1, got -1"),
+            (["verify", "--d", "1", "--n", "0"], "n must be >= 1, got 0"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
-        samples = [] if "--samples" in argv else ["--samples", "1000"]
+        # only the Monte Carlo commands take --samples
+        mc_command = argv[0] in ("verify", "check")
+        samples = ["--samples", "1000"] if mc_command and "--samples" not in argv else []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(capsys, *argv, *samples)

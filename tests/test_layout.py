@@ -3,15 +3,19 @@
 No module imports a private (single-underscore) name from a sibling, no
 module other than ``__init__`` imports a name it never uses, and no module
 other than ``sampling`` touches a random-number source: every Monte Carlo
-sample comes from its engine.
+sample comes from its engine.  Every package name the benchmark under
+``perfbench/`` calls or traces exists, so a deletion cannot break it silently.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spheretail"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spheretail"
+BENCH = ROOT / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -83,3 +87,42 @@ def test_only_sampling_draws_random_numbers(path):
             continue
         uses += [f"line {node.lineno}: {name}" for name in names if name in RANDOM_NAMES]
     assert not uses, f"{path.name} draws random numbers outside the engine: {uses}"
+
+
+def test_benchmark_calls_only_existing_names():
+    tree = _tree(BENCH / "workloads.py")
+    # local alias -> module, e.g. st -> spheretail, st_cli -> spheretail.cli
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "spheretail"
+    }
+    assert "spheretail" in aliases.values()
+    missing = sorted(
+        f"line {node.lineno}: {aliases[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and not hasattr(importlib.import_module(aliases[node.value.id]), node.attr)
+    )
+    assert not missing, f"perfbench/workloads.py calls missing names: {missing}"
+
+
+def test_benchmark_traces_only_existing_functions():
+    traced = next(
+        node.value
+        for node in _tree(BENCH / "spans.py").body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    pairs = [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in traced.elts]
+    assert pairs
+    missing = [
+        f"{home}.{name}"
+        for home, name in pairs
+        if not hasattr(importlib.import_module(f"spheretail.{home}"), name)
+    ]
+    assert not missing, f"perfbench/spans.py traces missing functions: {missing}"

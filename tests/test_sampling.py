@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spheretail import (
@@ -29,6 +31,8 @@ from spheretail import (
 )
 from spheretail.report import CoefficientPattern
 from spheretail.sampling import cos_marginal
+
+from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
 
 def brute_force_rademacher(coeffs, u, strict=True) -> float:
@@ -243,6 +247,28 @@ class TestExactRademacherTail:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             exact_rademacher_tail([1.0] * 27, 1.0)
+
+
+
+
+class TestExactRademacherTailProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.floats(-1e4, 1e4), st.floats(0.0, 1e4), st.booleans())
+    def test_a_probability_that_does_not_increase_in_u(self, coeffs, u, step, strict):
+        p = exact_rademacher_tail(coeffs, u, strict)
+        assert 0.0 <= p <= 1.0
+        assert exact_rademacher_tail(coeffs, u + step, strict) <= p
+
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.floats(-1e4, -1e-300), st.booleans())
+    def test_one_below_zero(self, coeffs, u, strict):
+        assert exact_rademacher_tail(coeffs, u, strict) == 1.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(coefficient_lists, st.floats(-1e4, 1e4), st.booleans(), st.data())
+    def test_invariant_under_signs_and_order(self, coeffs, u, strict, data):
+        moved = signs_and_order_moved(data, coeffs)
+        assert exact_rademacher_tail(moved, u, strict) == exact_rademacher_tail(coeffs, u, strict)
 
 
 class TestMomentOracles:
