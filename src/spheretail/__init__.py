@@ -50,7 +50,6 @@ from .moment_compare import (
 from .report import (
     CoefficientPattern,
     SweepSpec,
-    UGrid,
     VerificationRecord,
     run_sweep,
 )

@@ -12,13 +12,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .bounds import TailQuery, constant_table, get_constant, scale, theorem_bound
+from .bounds import constant_table, get_constant, scale
 from .moment_compare import (
     MajorizationPair,
     bc_comparison_check,
@@ -34,9 +35,9 @@ from .moment_compare import (
 )
 from .report import (
     DEFAULT_BUDGET,
+    DEFAULT_QUANTILES,
     SweepSpec,
-    UGrid,
-    VerificationRecord,
+    bound_records,
     parse_pattern_list,
     records_to_csv,
     records_to_json,
@@ -53,11 +54,17 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _range_spec(text: str) -> tuple[float, float, int]:
+def _range_spec(text: str) -> np.ndarray:
+    """LO:HI:COUNT -> COUNT evenly spaced points from LO to HI."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected LO:HI:COUNT, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"COUNT must be >= 2, got {count}")
+    if not np.all(np.isfinite([lo, hi])):
+        raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
+    return np.linspace(lo, hi, count)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,6 +73,15 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_report(args, records, seed: int = 0, summary=None) -> None:
+    """Write the records as --format csv or json to --out or stdout."""
+    if args.format == "csv":
+        _emit(records_to_csv(records), args.out)
+    else:
+        stamp = not args.no_timestamp
+        _emit(records_to_json(records, seed, __version__, summary, stamp), args.out)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -181,39 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bound(args) -> int:
     if (args.u is None) == (args.u_linear is None):
         raise ValueError("bound needs exactly one of --u or --u-linear")
-    if args.u_linear is not None:
-        lo, hi, count = args.u_linear
-        if count < 2:
-            raise ValueError("--u-linear count must be >= 2")
-        us = list(np.linspace(lo, hi, count))
-    else:
-        us = [args.u]
-    constants = [get_constant(c) for c in args.constants.split(",")]
-    records = []
-    for u in us:
-        query = TailQuery(args.d, tuple(args.coeffs), u)
-        for const in constants:
-            records.append(
-                VerificationRecord(
-                    d=args.d,
-                    n=len(args.coeffs),
-                    pattern="explicit",
-                    u=u,
-                    bound=theorem_bound(query, const),
-                    estimate=None,
-                    ratio_upper=0.0,
-                    verdict="",
-                )
-            )
-    if args.format == "csv":
-        _emit(records_to_csv(records), args.out)
-    elif args.format == "json":
-        _emit(
-            records_to_json(
-                records, seed=0, version=__version__, timestamp=not args.no_timestamp
-            ),
-            args.out,
-        )
+    us = [args.u] if args.u_linear is None else args.u_linear
+    records = bound_records(args.d, "explicit", args.coeffs, us, args.constants.split(","))
+    if args.format:
+        _write_report(args, records)
     else:
         for rec in records:
             b = rec.bound
@@ -227,18 +214,12 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     if args.quantiles is not None and args.u_linear is not None:
         raise ValueError("choose one of --quantiles or --u-linear")
-    if args.u_linear is not None:
-        lo, hi, count = args.u_linear
-        grid = UGrid(kind="linear", lo=lo, hi=hi, count=count)
-    elif args.quantiles is not None:
-        grid = UGrid(kind="quantile", quantiles=tuple(args.quantiles))
-    else:
-        grid = UGrid()
     spec = SweepSpec(
         dimensions=tuple(args.d),
         n_values=tuple(args.n),
         patterns=parse_pattern_list(args.patterns),
-        u_grid=grid,
+        quantiles=DEFAULT_QUANTILES if args.quantiles is None else tuple(args.quantiles),
+        thresholds=None if args.u_linear is None else tuple(args.u_linear),
         samples=args.samples,
         seed=args.seed,
         alpha=args.alpha,
@@ -247,20 +228,12 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         budget=args.budget,
     )
+    if args.format and args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # fail before the sweep, not after it has drawn every sample
+        raise FileNotFoundError(f"no directory for --out {args.out!r}")
     records, summary = run_sweep(spec)
-    if args.format == "csv":
-        _emit(records_to_csv(records), args.out)
-    elif args.format == "json":
-        _emit(
-            records_to_json(
-                records,
-                seed=spec.seed,
-                version=__version__,
-                summary=summary,
-                timestamp=not args.no_timestamp,
-            ),
-            args.out,
-        )
+    if args.format:
+        _write_report(args, records, spec.seed, summary)
     if args.format is None or args.out:
         print(
             f"records={summary.n_records} holds={summary.holds} "
@@ -311,11 +284,7 @@ def cmd_check(args) -> int:
         result_obj = {"majorizes": ok, "failure_index": idx}
     elif args.which == "classc":
         fn = parse_test_function(need("--f", args.f))
-        grid = None
-        if args.grid is not None:
-            lo, hi, count = args.grid
-            grid = np.linspace(lo, hi, count)
-        report = is_class_c(fn, grid=grid)
+        report = is_class_c(fn, grid=args.grid)
         print(
             f"{fn.label}: {'true' if report.passed else 'false'} "
             f"(even={report.even_ok}, h'' convex={report.second_derivative_convex}, "
@@ -327,15 +296,11 @@ def cmd_check(args) -> int:
     elif args.which == "bisub":
         fn = parse_test_function(need("--f", args.f))
         d = need("--d", args.d)
-        t_grid = None
-        if args.t_grid is not None:
-            lo, hi, count = args.t_grid
-            t_grid = np.linspace(lo, hi, count)
         report = is_bisubharmonic_numeric(
             fn,
             d,
             y_set=args.y_norms,
-            t_grid=t_grid,
+            t_grid=args.t_grid,
             samples=args.samples,
             seed=args.seed,
             alpha=args.alpha,
@@ -445,7 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -399,6 +399,8 @@ def is_bisubharmonic_numeric(
     norms = [math.sqrt(sum_sq(np.atleast_1d(y))) for y in y_set]
     if not norms:
         raise ValueError("y_set must be nonempty")
+    if not all(map(math.isfinite, norms)):
+        raise ValueError(f"centre norms must be finite, got {norms}")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     z = _z(alpha)

@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -69,7 +70,8 @@ class CoefficientPattern:
             a = np.zeros(n)
             a[0] = 1.0
         elif self.kind == "geometric":
-            a = self.ratio ** np.arange(n, dtype=float)
+            with np.errstate(over="ignore"):  # coeff_array rejects the inf
+                a = self.ratio ** np.arange(n, dtype=float)
         elif self.kind == "explicit":
             a = np.asarray(self.values, dtype=float)
         else:
@@ -118,33 +120,16 @@ def parse_pattern_list(text: str) -> tuple[CoefficientPattern, ...]:
 
 
 @dataclass(frozen=True)
-class UGrid:
-    """Threshold grid: comparator tail quantiles or a linear range."""
-
-    kind: str = "quantile"  # "quantile" | "linear"
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    lo: float = 0.0
-    hi: float = 1.0
-    count: int = 2
-
-    def thresholds(self, d: int, comparator_scale: float) -> list[float]:
-        if self.kind == "quantile":
-            return [
-                comparator_scale * chi_tail_inverse(d, q) for q in self.quantiles
-            ]
-        if self.count < 2:
-            raise ValueError("linear u-grid needs count >= 2")
-        return list(np.linspace(self.lo, self.hi, self.count))
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     """Everything cmd_verify needs to run one sweep."""
 
     dimensions: tuple[int, ...]
     n_values: tuple[int, ...]
     patterns: tuple[CoefficientPattern, ...]
-    u_grid: UGrid = UGrid()
+    #: comparator tail quantiles that place the thresholds of each instance
+    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
+    #: fixed thresholds used by every instance instead, if given
+    thresholds: tuple[float, ...] | None = None
     samples: int = 1_000_000
     seed: int = 0
     alpha: float = 0.01
@@ -164,16 +149,24 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One verified (query, constant) cell of a sweep."""
+    """One (query, constant) cell of a sweep; without an estimate it is a
+    bare bound, with verdict "" and ratio_upper 0.0."""
 
     d: int
     n: int
     pattern: str
     u: float
     bound: BoundResult
-    estimate: McEstimate | None
-    ratio_upper: float
-    verdict: str
+    estimate: McEstimate | None = None
+    ratio_upper: float = field(init=False, default=0.0)
+    verdict: str = field(init=False, default="")
+
+    def __post_init__(self):
+        if self.estimate is not None:
+            tail = chi_tail(self.d, self.u / self.bound.scale)
+            ratio = self.estimate.ci_high / tail if tail > 0.0 else math.inf
+            object.__setattr__(self, "ratio_upper", ratio)
+            object.__setattr__(self, "verdict", classify(self.estimate, self.bound))
 
     def csv_row(self) -> list[str]:
         row = self.json_dict()
@@ -248,6 +241,22 @@ def sweep_instances(spec: SweepSpec) -> list[tuple[int, int, CoefficientPattern]
     return out
 
 
+def bound_records(
+    d: int, pattern: str, coeffs, thresholds, constants, estimates=None
+) -> list[VerificationRecord]:
+    """One record per (threshold, constant), in that order; ``estimates``
+    holds the Monte Carlo estimate at each threshold, if any."""
+    constants = [get_constant(c) for c in constants]
+    records = []
+    for u, est in zip(thresholds, estimates or [None] * len(thresholds)):
+        query = TailQuery(d, tuple(coeffs), u)
+        records += [
+            VerificationRecord(d, len(coeffs), pattern, u, theorem_bound(query, c), est)
+            for c in constants
+        ]
+    return records
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[VerificationRecord], SweepSummary]:
     """Run the sweep: one Monte Carlo pass per (d, pattern) sharing its
     sample stream over the whole threshold grid, then one record per
@@ -261,39 +270,23 @@ def run_sweep(spec: SweepSpec) -> tuple[list[VerificationRecord], SweepSummary]:
         )
     constants = [get_constant(c) for c in spec.constants]
     records: list[VerificationRecord] = []
-    max_ratio = 0.0
     for d, n, pat in instances:
         coeffs = pat.materialize(n, spec.normalize)
-        a_cmp = scale(coeffs, d)
-        thresholds = spec.u_grid.thresholds(d, a_cmp)
+        thresholds = spec.thresholds
+        if thresholds is None:
+            a_cmp = scale(coeffs, d)
+            thresholds = [a_cmp * chi_tail_inverse(d, q) for q in spec.quantiles]
         estimates = mc_tail_multi(
             d, coeffs, thresholds, spec.samples, spec.seed, spec.alpha, spec.workers
         )
-        for u, est in zip(thresholds, estimates):
-            tail = chi_tail(d, u / a_cmp)
-            ratio = est.ci_high / tail if tail > 0.0 else math.inf
-            max_ratio = max(max_ratio, ratio)
-            query = TailQuery(d, tuple(coeffs), u)
-            for const in constants:
-                bound = theorem_bound(query, const)
-                records.append(
-                    VerificationRecord(
-                        d=d,
-                        n=n,
-                        pattern=pat.label,
-                        u=u,
-                        bound=bound,
-                        estimate=est,
-                        ratio_upper=ratio,
-                        verdict=classify(est, bound),
-                    )
-                )
+        records += bound_records(d, pat.label, coeffs, thresholds, constants, estimates)
+    verdicts = Counter(r.verdict for r in records)
     summary = SweepSummary(
         n_records=len(records),
-        holds=sum(r.verdict == "HOLDS" for r in records),
-        violated=sum(r.verdict == "VIOLATED" for r in records),
-        inconclusive=sum(r.verdict == "INCONCLUSIVE" for r in records),
-        max_ratio_upper=max_ratio,
+        holds=verdicts["HOLDS"],
+        violated=verdicts["VIOLATED"],
+        inconclusive=verdicts["INCONCLUSIVE"],
+        max_ratio_upper=max((r.ratio_upper for r in records), default=0.0),
         mc_samples_drawn=planned,
     )
     return records, summary

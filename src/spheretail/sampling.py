@@ -232,7 +232,7 @@ def mc_tail(
 
 def _signed_sums(a: np.ndarray) -> np.ndarray:
     """All 2^len(a) values of sum_i s_i a_i over sign patterns s in {-1,+1}^n."""
-    sums = np.zeros(1)
+    sums = np.zeros(1, a.dtype)
     for ai in a:
         sums = np.concatenate([sums - ai, sums + ai])
     return sums
@@ -241,9 +241,11 @@ def _signed_sums(a: np.ndarray) -> np.ndarray:
 def exact_rademacher_tail(coeffs: Sequence[float], u: float, strict: bool = True) -> float:
     """Exact P(|sum eps_i a_i| > u) (or >= u when strict=False) by enumeration.
 
-    eps_i are independent signs.  Uses a meet-in-the-middle split, so the
-    cost is O(2^(n/2) log) up to the hard cap of n = 26.  The returned value
-    is hits / 2^n, which is an exact dyadic rational in double precision.
+    eps_i are independent signs.  Every input double is an integer on the
+    finest power-of-two grid among the inputs, so the signed sums are exact
+    integers and ties are decided exactly.  A meet-in-the-middle split keeps
+    the cost at O(2^(n/2) log) up to the hard cap of n = 26.  The returned
+    value is hits / 2^n, which is an exact dyadic rational in double precision.
     """
     a = coeff_array(coeffs)
     n = a.size
@@ -254,16 +256,16 @@ def exact_rademacher_tail(coeffs: Sequence[float], u: float, strict: bool = True
     u = float(u)
     if not math.isfinite(u):
         raise ValueError(f"threshold must be finite, got {u!r}")
-    if u < 0.0 or (u == 0.0 and not strict):
+    ratios = [v.as_integer_ratio() for v in (*a.tolist(), u)]
+    grid = max(q for _, q in ratios)
+    *ints, big_u = (p * (grid // q) for p, q in ratios)
+    if not strict:
+        big_u -= 1  # on integers, |s| >= U is |s| > U - 1
+    if big_u < 0:
         return 1.0
-    left = _signed_sums(a[: n // 2])
-    right = np.sort(_signed_sums(a[n // 2 :]))
-    m = right.size
-    if strict:
-        above = m - np.searchsorted(right, u - left, side="right")
-        below = np.searchsorted(right, -u - left, side="left")
-    else:
-        above = m - np.searchsorted(right, u - left, side="left")
-        below = np.searchsorted(right, -u - left, side="right")
-    hits = int(above.sum() + below.sum())
-    return hits / float(2**n)
+    dtype = np.int64 if sum(map(abs, ints)) + abs(big_u) < 2**62 else object
+    left = _signed_sums(np.array(ints[: n // 2], dtype))
+    right = np.sort(_signed_sums(np.array(ints[n // 2 :], dtype)))
+    above = right.size - np.searchsorted(right, big_u - left, side="right")
+    below = np.searchsorted(right, -big_u - left, side="left")
+    return int(above.sum() + below.sum()) / float(2**n)

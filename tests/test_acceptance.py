@@ -15,7 +15,6 @@ import pytest
 
 from spheretail import (
     MajorizationPair,
-    UGrid,
     SweepSpec,
     bc_comparison_check,
     chi_tail,
@@ -127,7 +126,6 @@ def test_criterion_05_theorem_sweep():
             CoefficientPattern("single"),
             CoefficientPattern("geometric", ratio=0.5),
         ),
-        u_grid=UGrid(),  # the 7 comparator tail quantiles
         samples=1_000_000,
         seed=20240613,
         alpha=0.01,

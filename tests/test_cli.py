@@ -9,13 +9,17 @@ import warnings
 
 import pytest
 
-from spheretail import BoundResult, McEstimate, get_constant
+from spheretail import BoundResult, McEstimate, SweepSpec, VerificationRecord, get_constant
+from spheretail import report
 from spheretail.cli import main
-from spheretail.report import CSV_COLUMNS, classify
+from spheretail.report import CSV_COLUMNS, CoefficientPattern, classify, run_sweep
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -50,6 +54,12 @@ class TestConstantsCommand:
         assert values["C3"] == 2.0 * math.e**3 / 9.0
         assert 3.17 < values["C_STAR"] < 3.18
         assert 88.9 < values["NT397/C3"] < 89.0
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "constants", "--format", "csv", "--out", str(out))
+        assert code == 2
+        assert "No such file or directory" in err
 
 
 class TestBoundCommand:
@@ -247,6 +257,34 @@ class TestVerifyCommand:
         assert 2.9 < max_ratio < get_constant("c3").value
         assert doc["summary"]["violated"] == 0
 
+    def test_out_into_missing_directory_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sweep drew samples")
+
+        monkeypatch.setattr(report, "mc_tail_multi", no_sampling)
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, *self.ARGS, "--format", "csv", "--out", str(out))
+        assert code == 2
+        assert f"no directory for --out '{out}'" in err
+
+    def test_bound_columns_match_bound_command(self, capsys):
+        common = ["--d", "3", "--u-linear", "0.2:1.4:4", "--constants", "c3,nt397"]
+        _, bound_out, _ = run_cli(
+            capsys, "bound", "--coeffs", "0.3,0.4,1.2", *common, "--format", "csv"
+        )
+        _, verify_out, _ = run_cli(
+            capsys, "verify", "--patterns", "explicit:0.3,0.4,1.2", "--no-normalize", *common,
+            "--samples", "2000", "--format", "csv",
+        )
+        cols = ("d", "n", "pattern", "u", "scale", "constant_name", "constant_value",
+                "bound_raw", "bound_capped")
+
+        def columns(text):
+            return [[row[c] for c in cols] for row in csv.DictReader(io.StringIO(text))]
+
+        assert len(columns(bound_out)) == 8
+        assert columns(bound_out) == columns(verify_out)
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--d"])  # missing value
@@ -323,6 +361,21 @@ class TestInputErrors:
             ),
             (["verify", "--d", "1", "--n", "-1"], "n must be >= 1, got -1"),
             (["verify", "--d", "1", "--n", "0"], "n must be >= 1, got 0"),
+            # a threshold grid needs two or more points and finite ends
+            (["bound", "--d", "2", "--coeffs", "1,1", "--u-linear", "0:3:1"],
+             "COUNT must be >= 2, got 1"),
+            (["verify", "--d", "1", "--u-linear", "0:3:1"], "COUNT must be >= 2, got 1"),
+            (["check", "classc", "--f", "power4", "--grid", "0:3:0"], "COUNT must be >= 2, got 0"),
+            (["verify", "--d", "1", "--u-linear", "0:inf:3"],
+             "LO and HI must be finite, got '0:inf:3'"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "nan:2:4"],
+             "LO and HI must be finite, got 'nan:2:4'"),
+            (["verify", "--d", "1", "--patterns", "geometric:1e200", "--n", "3"],
+             "coefficients must all be finite"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "nan"],
+             "centre norms must be finite, got [nan]"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf", "--quadrature"],
+             "centre norms must be finite, got [inf]"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
@@ -386,3 +439,23 @@ class TestVerdictClassification:
         bound = BoundResult(get_constant("c3"), 1.0, 0.30, 0.30)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         assert classify(est, bound) == "HOLDS"
+
+    def test_record_derives_verdict_and_ratio(self):
+        bound = BoundResult(get_constant("c3"), 1.0, 0.10, 0.10)
+        est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
+        rec = VerificationRecord(1, 1, "single", 0.0, bound, est)
+        assert rec.verdict == classify(est, bound) == "VIOLATED"
+        assert rec.ratio_upper == 0.25  # the chi tail is 1 at u = 0
+        bare = VerificationRecord(1, 1, "single", 0.0, bound)
+        assert (bare.verdict, bare.ratio_upper) == ("", 0.0)
+
+
+class TestSweepThresholds:
+    def test_fixed_thresholds_are_recorded(self):
+        spec = SweepSpec(
+            dimensions=(2,), n_values=(2,), patterns=(CoefficientPattern("equal"),),
+            thresholds=(0.5, 1.25), samples=2000, constants=("c3", "cstar"),
+        )
+        records, summary = run_sweep(spec)
+        assert [r.u for r in records] == [0.5, 0.5, 1.25, 1.25]
+        assert summary.max_ratio_upper == max(r.ratio_upper for r in records) > 0.0

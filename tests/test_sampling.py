@@ -8,6 +8,7 @@ the exact oracles and for worker-count independence.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,13 +37,25 @@ from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
 
 def brute_force_rademacher(coeffs, u, strict=True) -> float:
-    """Independent oracle: full sign-pattern enumeration via itertools."""
-    n = len(coeffs)
+    """Independent oracle: full sign-pattern enumeration via itertools, with
+    every sum computed exactly in rationals."""
+    exact = [Fraction(float(a)) for a in coeffs]
+    u = Fraction(float(u))
     hits = 0
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        s = abs(math.fsum(si * ai for si, ai in zip(signs, coeffs)))
+    for signs in itertools.product((-1, 1), repeat=len(exact)):
+        s = abs(sum(si * ai for si, ai in zip(signs, exact)))
         hits += (s > u) if strict else (s >= u)
-    return hits / 2.0**n
+    return hits / 2.0 ** len(exact)
+
+
+@st.composite
+def near_ties(draw):
+    """Decimal coefficients and u = |fsum(eps . a)| for a drawn sign pattern,
+    so u is the rounded value of an exact signed sum: a near-tie."""
+    coeffs = draw(st.lists(st.integers(-999, 999).map(lambda k: k / 100), min_size=1, max_size=8))
+    coeffs = [a if a else 1.0 for a in coeffs]
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(coeffs), max_size=len(coeffs)))
+    return coeffs, abs(math.fsum(s * a for s, a in zip(signs, coeffs)))
 
 
 def gaussian_reference_norms(coeffs, d, n_samples, seed, step=50_000):
@@ -223,6 +236,22 @@ class TestExactRademacherTail:
     def test_negative_threshold(self):
         assert exact_rademacher_tail([0.3, 0.4], -1.0) == 1.0
 
+    @pytest.mark.parametrize("coeffs", [[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    def test_near_tie_in_either_order(self, coeffs):
+        # the exact sum of the doubles 0.1 + 0.2 + 0.3 lies just above the
+        # double 0.6, so the sign patterns +++ and --- both count
+        assert exact_rademacher_tail(coeffs, 0.6) == 0.25
+        assert exact_rademacher_tail(coeffs, 0.6, strict=False) == 0.25
+
+    def test_wide_magnitudes(self):
+        # on the grid of 1e-30 the integers outgrow int64, and |1 - 1 + 1e-30|
+        # ties u = 1e-30 exactly
+        coeffs = [1e-30, 1.0, 1.0]
+        for u in (0.0, 1e-30, 2.0, 2.0 + 2**-51):
+            for strict in (True, False):
+                expected = brute_force_rademacher(coeffs, u, strict)
+                assert exact_rademacher_tail(coeffs, u, strict) == expected
+
     def test_brute_force_oracle_agreement(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
@@ -258,6 +287,14 @@ class TestExactRademacherTailProperties:
         p = exact_rademacher_tail(coeffs, u, strict)
         assert 0.0 <= p <= 1.0
         assert exact_rademacher_tail(coeffs, u + step, strict) <= p
+
+    @settings(derandomize=True, deadline=None)
+    @given(near_ties(), st.booleans())
+    def test_exact_at_near_ties(self, tie, strict):
+        coeffs, u = tie
+        expected = brute_force_rademacher(coeffs, u, strict)
+        assert exact_rademacher_tail(coeffs, u, strict) == expected
+        assert exact_rademacher_tail(coeffs[::-1], u, strict) == expected
 
     @settings(derandomize=True, deadline=None)
     @given(coefficient_lists, st.floats(-1e4, -1e-300), st.booleans())
