@@ -46,20 +46,29 @@ from .report import (
 from .sampling import CapacityError, exact_rademacher_tail, sample_sum_norms
 
 
+def _number(token: str, kind: type = float):
+    try:
+        return kind(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {token!r}"
+        ) from None
+
+
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [_number(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    return [_number(v, int) for v in text.split(",") if v.strip() != ""]
 
 
 def _range_spec(text: str) -> np.ndarray:
     """LO:HI:COUNT -> COUNT evenly spaced points from LO to HI."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"expected LO:HI:COUNT, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise argparse.ArgumentTypeError(f"expected LO:HI:COUNT, got {text!r}")
+    lo, hi, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
     if count < 2:
         raise argparse.ArgumentTypeError(f"COUNT must be >= 2, got {count}")
     if not np.all(np.isfinite([lo, hi])):
@@ -84,14 +93,68 @@ def _write_report(args, records, seed: int = 0, summary=None) -> None:
         _emit(records_to_json(records, seed, __version__, summary, stamp), args.out)
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, stamped: bool = True) -> None:
+    p.set_defaults(parser=p)  # so main can reject --out without --format in p's usage
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp from JSON meta (for byte-identical reruns)",
-    )
+    p.add_argument("--out", default=None, help="write the report here (needs --format)")
+    if stamped:
+        p.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit the timestamp from JSON meta (for byte-identical reruns)",
+        )
+
+
+# the flags of the check and oracle kinds: add_argument keywords by flag
+_KIND_FLAGS = {
+    "--f": dict(help="test function token"),
+    "--h": dict(help="comma list of test function tokens"),
+    "--a-sq": dict(type=_floats),
+    "--b-sq": dict(type=_floats),
+    "--coeffs": dict(type=_floats),
+    "--xi-coeffs": dict(type=_floats, help="draw xi as the scaled sum norm for these coefficients"),
+    "--d": dict(type=int),
+    "--p": dict(type=float),
+    "--u": dict(type=float),
+    "--samples": dict(type=int, default=200_000),
+    "--seed": dict(type=int, default=0),
+    "--alpha": dict(type=float, default=0.01),
+    "--grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
+    "--t-grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
+    "--y-norms": dict(type=_floats, default=[0.0, 1.0, 2.0]),
+    "--quadrature": dict(
+        action="store_true", help="use deterministic quadrature instead of Monte Carlo"
+    ),
+    "--allow-p2": dict(action="store_true"),
+    "--non-strict": dict(action="store_true", help="use >= instead of > at the threshold"),
+    "--format": dict(choices=("json",), help="print the result as JSON after its line"),
+}
+_MC = ("--samples", "--seed", "--alpha")
+# kind -> (required flags, optional flags)
+_CHECK_KINDS = {
+    "schur": (("--a-sq", "--b-sq"), ()),
+    "classc": (("--f",), ("--grid",)),
+    "bisub": (("--f", "--d"), ("--y-norms", "--t-grid", "--quadrature", *_MC)),
+    "bc": (("--f", "--a-sq", "--b-sq", "--d"), _MC),
+    "gauss": (("--f", "--coeffs", "--d"), _MC),
+    "lemma2": (("--xi-coeffs", "--d", "--h"), _MC),
+    "kwapien": (("--coeffs", "--d", "--p"), (*_MC, "--allow-p2")),
+}
+_ORACLE_KINDS = {
+    "rademacher": (("--coeffs", "--u"), ("--non-strict",)),
+    "m2": (("--coeffs",), ()),
+    "m4": (("--coeffs", "--d"), ()),
+}
+
+
+def _add_kinds(p: argparse.ArgumentParser, kinds: dict, handler, common=()) -> None:
+    """One subparser per kind, declaring only the flags that kind reads."""
+    kind_parsers = p.add_subparsers(dest="which", metavar="KIND", required=True)
+    for kind, (required, optional) in kinds.items():
+        p_kind = kind_parsers.add_parser(kind)
+        p_kind.set_defaults(func=handler)
+        for flag in (*required, *optional, *common):
+            p_kind.add_argument(flag, required=flag in required, **_KIND_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,18 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate closed-form bounds")
+    p_bound.set_defaults(func=cmd_bound)
     p_bound.add_argument("--d", type=int, required=True)
     p_bound.add_argument("--coeffs", type=_floats, required=True)
-    p_bound.add_argument("--u", type=float, default=None)
-    p_bound.add_argument(
-        "--u-linear", type=_range_spec, default=None, metavar="LO:HI:COUNT"
-    )
+    u_spec = p_bound.add_mutually_exclusive_group(required=True)
+    u_spec.add_argument("--u", type=float)
+    u_spec.add_argument("--u-linear", type=_range_spec, metavar="LO:HI:COUNT")
     p_bound.add_argument("--constants", type=str, default="c3")
     _add_output_flags(p_bound)
 
     p_verify = sub.add_parser(
         "verify", help="Monte Carlo verification sweep against the bounds"
     )
+    p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--d", type=_ints, required=True, metavar="D1,D2,...")
     p_verify.add_argument("--n", type=_ints, default=[1], metavar="N1,N2,...")
     p_verify.add_argument(
@@ -126,10 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="equal",
         help="comma list: equal, single, geometric[:ratio], explicit:a,b,...",
     )
-    p_verify.add_argument("--quantiles", type=_floats, default=None)
-    p_verify.add_argument(
-        "--u-linear", type=_range_spec, default=None, metavar="LO:HI:COUNT"
-    )
+    thresholds = p_verify.add_mutually_exclusive_group()
+    thresholds.add_argument("--quantiles", type=_floats)
+    thresholds.add_argument("--u-linear", type=_range_spec, metavar="LO:HI:COUNT")
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--alpha", type=float, default=0.01)
@@ -144,59 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_verify)
 
     p_oracle = sub.add_parser("oracle", help="exact small-instance oracles")
-    p_oracle.add_argument("which", choices=("rademacher", "m2", "m4"))
-    p_oracle.add_argument("--coeffs", type=_floats, required=True)
-    p_oracle.add_argument("--u", type=float, default=None)
-    p_oracle.add_argument("--d", type=int, default=None)
-    p_oracle.add_argument(
-        "--non-strict", action="store_true", help="use >= instead of > at the threshold"
-    )
-
+    _add_kinds(p_oracle, _ORACLE_KINDS, cmd_oracle)
     p_check = sub.add_parser("check", help="structural and moment-comparison checks")
-    p_check.add_argument(
-        "which",
-        choices=("schur", "classc", "bisub", "bc", "gauss", "lemma2", "kwapien"),
-    )
-    p_check.add_argument("--f", type=str, default=None, help="test function token")
-    p_check.add_argument(
-        "--h", type=str, default=None, help="comma list of profiles for lemma2"
-    )
-    p_check.add_argument("--a-sq", type=_floats, default=None)
-    p_check.add_argument("--b-sq", type=_floats, default=None)
-    p_check.add_argument("--coeffs", type=_floats, default=None)
-    p_check.add_argument("--d", type=int, default=None)
-    p_check.add_argument("--p", type=float, default=None)
-    p_check.add_argument("--samples", type=int, default=200_000)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--alpha", type=float, default=0.01)
-    p_check.add_argument("--grid", type=_range_spec, default=None, metavar="LO:HI:COUNT")
-    p_check.add_argument(
-        "--t-grid", type=_range_spec, default=None, metavar="LO:HI:COUNT"
-    )
-    p_check.add_argument("--y-norms", type=_floats, default=[0.0, 1.0, 2.0])
-    p_check.add_argument(
-        "--quadrature",
-        action="store_true",
-        help="use deterministic quadrature instead of Monte Carlo (bisub)",
-    )
-    p_check.add_argument("--allow-p2", action="store_true")
-    p_check.add_argument(
-        "--xi-coeffs",
-        type=_floats,
-        default=None,
-        help="draw xi as the scaled sum norm for these coefficients (lemma2)",
-    )
-    p_check.add_argument("--format", choices=("json",), default=None)
+    _add_kinds(p_check, _CHECK_KINDS, cmd_check, common=("--format",))
 
     p_const = sub.add_parser("constants", help="the comparison-constant catalog")
-    _add_output_flags(p_const)
+    p_const.set_defaults(func=cmd_constants)
+    _add_output_flags(p_const, stamped=False)
 
     return parser
 
 
 def cmd_bound(args) -> int:
-    if (args.u is None) == (args.u_linear is None):
-        raise ValueError("bound needs exactly one of --u or --u-linear")
     us = [args.u] if args.u_linear is None else args.u_linear
     records = bound_records(args.d, "explicit", args.coeffs, us, args.constants.split(","))
     if args.format:
@@ -212,8 +234,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.quantiles is not None and args.u_linear is not None:
-        raise ValueError("choose one of --quantiles or --u-linear")
     spec = SweepSpec(
         dimensions=tuple(args.d),
         n_values=tuple(args.n),
@@ -228,7 +248,7 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         budget=args.budget,
     )
-    if args.format and args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         # fail before the sweep, not after it has drawn every sample
         raise FileNotFoundError(f"no directory for --out {args.out!r}")
     records, summary = run_sweep(spec)
@@ -246,15 +266,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.which == "rademacher":
-        if args.u is None:
-            raise ValueError("oracle rademacher needs --u")
         value = exact_rademacher_tail(args.coeffs, args.u, strict=not args.non_strict)
         print(repr(value))
     elif args.which == "m2":
         print(repr(second_moment_exact(args.coeffs)))
     else:
-        if args.d is None:
-            raise ValueError("oracle m4 needs --d")
         print(repr(fourth_moment_exact(args.coeffs, args.d)))
     return 0
 
@@ -269,21 +285,16 @@ def _print_verdict(result) -> None:
 
 
 def cmd_check(args) -> int:
-    def need(flag, value):
-        if value is None:
-            raise ValueError(f"check {args.which} needs {flag}")
-        return value
-
     result = None  # the ComparisonVerdict of bc, gauss and kwapien
     exit_code = 0
     if args.which == "schur":
-        pair = MajorizationPair(tuple(need("--a-sq", args.a_sq)), tuple(need("--b-sq", args.b_sq)))
+        pair = MajorizationPair(tuple(args.a_sq), tuple(args.b_sq))
         idx = majorization_failure(pair)
         ok = idx is None
         print("true" if ok else f"false (partial sums fail at sorted index {idx})")
         result_obj = {"majorizes": ok, "failure_index": idx}
     elif args.which == "classc":
-        fn = parse_test_function(need("--f", args.f))
+        fn = parse_test_function(args.f)
         report = is_class_c(fn, grid=args.grid)
         print(
             f"{fn.label}: {'true' if report.passed else 'false'} "
@@ -294,11 +305,10 @@ def cmd_check(args) -> int:
             print(f"warning: {w}", file=sys.stderr)
         result_obj = dataclasses.asdict(report)
     elif args.which == "bisub":
-        fn = parse_test_function(need("--f", args.f))
-        d = need("--d", args.d)
+        fn = parse_test_function(args.f)
         report = is_bisubharmonic_numeric(
             fn,
-            d,
+            args.d,
             y_set=args.y_norms,
             t_grid=args.t_grid,
             samples=args.samples,
@@ -307,7 +317,7 @@ def cmd_check(args) -> int:
             method="quadrature" if args.quadrature else "mc",
         )
         print(
-            f"{fn.label} (d={d}): {report.status} "
+            f"{fn.label} (d={args.d}): {report.status} "
             f"(min margin={report.min_margin:.6g}, method={report.method})"
         )
         result_obj = {
@@ -317,27 +327,20 @@ def cmd_check(args) -> int:
         }
         exit_code = 1 if report.status == "fail" else 0
     elif args.which == "bc":
-        fn = parse_test_function(need("--f", args.f))
-        pair = MajorizationPair(tuple(need("--a-sq", args.a_sq)), tuple(need("--b-sq", args.b_sq)))
+        fn = parse_test_function(args.f)
+        pair = MajorizationPair(tuple(args.a_sq), tuple(args.b_sq))
         result = bc_comparison_check(
-            fn, pair, need("--d", args.d), args.samples, args.seed, args.alpha
+            fn, pair, args.d, args.samples, args.seed, args.alpha
         )
     elif args.which == "gauss":
-        fn = parse_test_function(need("--f", args.f))
+        fn = parse_test_function(args.f)
         result = gaussian_comparison_check(
-            fn,
-            need("--coeffs", args.coeffs),
-            need("--d", args.d),
-            args.samples,
-            args.seed,
-            args.alpha,
+            fn, args.coeffs, args.d, args.samples, args.seed, args.alpha
         )
     elif args.which == "lemma2":
-        coeffs = need("--xi-coeffs", args.xi_coeffs)
-        d = need("--d", args.d)
-        suite = [
-            parse_test_function(tok) for tok in need("--h", args.h).split(",")
-        ]
+        coeffs = args.xi_coeffs
+        d = args.d
+        suite = [parse_test_function(tok) for tok in args.h.split(",")]
         xi = sample_sum_norms(coeffs, d, args.samples, args.seed) / scale(coeffs, d)
         results = lemma2_hypothesis_check(xi, d, suite, alpha=args.alpha)
         for res in results:
@@ -349,9 +352,9 @@ def cmd_check(args) -> int:
         exit_code = 1 if any(r.verdict == "VIOLATED" for r in results) else 0
     else:  # kwapien
         result = kwapien_check(
-            need("--coeffs", args.coeffs),
-            need("--d", args.d),
-            need("--p", args.p),
+            args.coeffs,
+            args.d,
+            args.p,
             args.samples,
             args.seed,
             args.alpha,
@@ -394,17 +397,11 @@ def cmd_constants(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "bound": cmd_bound,
-        "verify": cmd_verify,
-        "oracle": cmd_oracle,
-        "check": cmd_check,
-        "constants": cmd_constants,
-    }
+    args = build_parser().parse_args(argv)
+    if getattr(args, "out", None) and args.format is None:
+        args.parser.error("argument --out: needs --format")
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except BrokenPipeError:
         return 0
     except CapacityError as exc:

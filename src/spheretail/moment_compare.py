@@ -394,8 +394,8 @@ def is_bisubharmonic_numeric(
     )
     if ts.ndim != 1 or ts.size < 3:
         raise ValueError("t_grid needs at least 3 points")
-    if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be strictly increasing and positive")
+    if not np.all(np.isfinite(ts)) or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
+        raise ValueError("t_grid must be finite, positive and strictly increasing")
     norms = [math.sqrt(sum_sq(np.atleast_1d(y))) for y in y_set]
     if not norms:
         raise ValueError("y_set must be nonempty")

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level determinism of reports."""
 
+import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -11,7 +13,7 @@ import pytest
 
 from spheretail import BoundResult, McEstimate, SweepSpec, VerificationRecord, get_constant
 from spheretail import report
-from spheretail.cli import main
+from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, classify, run_sweep
 
 
@@ -61,6 +63,12 @@ class TestConstantsCommand:
         assert code == 2
         assert "No such file or directory" in err
 
+    def test_out_needs_format(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "constants", "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "argument --out: needs --format" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBoundCommand:
     def test_d2_example(self, capsys):
@@ -105,7 +113,21 @@ class TestBoundCommand:
     def test_needs_exactly_one_u_spec(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--d", "2", "--coeffs", "1,1")
         assert code == 2
-        assert "error" in err
+        assert "one of the arguments --u --u-linear is required" in err
+        code, _, err = run_cli(
+            capsys, "bound", "--d", "2", "--coeffs", "1,1", "--u", "1", "--u-linear", "0:3:4"
+        )
+        assert code == 2
+        assert "argument --u-linear: not allowed with argument --u" in err
+
+    def test_out_needs_format(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "bound", "--d", "2", "--coeffs", "1,1", "--u", "2",
+            "--out", str(tmp_path / "b.csv"),
+        )
+        assert code == 2
+        assert "argument --out: needs --format" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracleCommand:
@@ -196,6 +218,137 @@ class TestCheckCommand:
         assert code == 2 and "--f" in err
 
 
+# one valid invocation per check and oracle kind, and a flag that kind does not read
+KIND_CASES = [
+    (["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5"], ["--samples", "5"]),
+    (["check", "classc", "--f", "power4"], ["--d", "3"]),
+    (["check", "bisub", "--f", "power4", "--d", "3"], ["--coeffs", "1,1"]),
+    (["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2"],
+     ["--allow-p2"]),
+    (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2"], ["--y-norms", "1"]),
+    (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--quadrature"]),
+    (["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4"], ["--t-grid", "1:2:3"]),
+    (["oracle", "rademacher", "--coeffs", "1,1", "--u", "1.9"], ["--d", "3"]),
+    (["oracle", "m2", "--coeffs", "3,4"], ["--u", "1"]),
+    (["oracle", "m4", "--coeffs", "1,1", "--d", "2"], ["--non-strict"]),
+]
+KIND_IDS = [" ".join(argv[:2]) for argv, _ in KIND_CASES]
+
+
+class TestKindFlags:
+    """Each check and oracle kind takes exactly the flags it reads."""
+
+    @pytest.mark.parametrize("argv, unread", KIND_CASES, ids=KIND_IDS)
+    def test_unread_flag_rejected(self, capsys, argv, unread):
+        code, out, err = run_cli(capsys, *argv, *unread)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(unread)}" in err
+
+    @pytest.mark.parametrize("argv, unread", KIND_CASES, ids=KIND_IDS)
+    def test_missing_required_flag_named(self, capsys, argv, unread):
+        flag = argv[-2]  # every case ends with a required flag and its value
+        code, out, err = run_cli(capsys, *argv[:-2])
+        assert code == 2 and out == ""
+        assert f"the following arguments are required: {flag}" in err
+
+    def test_constants_takes_no_timestamp_flag(self, capsys):
+        code, _, err = run_cli(capsys, "constants", "--no-timestamp")
+        assert code == 2 and "unrecognized arguments: --no-timestamp" in err
+
+
+# valid invocations that together read every flag of every command and kind
+INVOCATIONS = [
+    ["bound", "--d", "2", "--coeffs", "1,1", "--u", "2", "--constants", "c3,cstar"],
+    ["bound", "--d", "2", "--coeffs", "1,1", "--u-linear", "0:3:4", "--format", "json",
+     "--no-timestamp", "--out", "b.json"],
+    ["verify", "--d", "1,2", "--n", "1,2", "--patterns", "equal", "--quantiles", "0.5",
+     "--samples", "2000", "--seed", "3", "--alpha", "0.05", "--constants", "c3",
+     "--budget", "100000", "--workers", "1", "--no-normalize"],
+    ["verify", "--d", "2", "--u-linear", "0:2:3", "--samples", "2000", "--format", "json",
+     "--no-timestamp", "--out", "v.json"],
+    ["oracle", "rademacher", "--coeffs", "1,1", "--u", "2", "--non-strict"],
+    ["oracle", "m2", "--coeffs", "3,4"],
+    ["oracle", "m4", "--coeffs", "1,1", "--d", "2"],
+    ["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--format", "json"],
+    ["check", "classc", "--f", "power4", "--grid=-3:3:61", "--format", "json"],
+    ["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "0,1", "--t-grid", "0.5:2:4",
+     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--quadrature", "--format", "json"],
+    ["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2",
+     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
+    ["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2",
+     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
+    ["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4,power2",
+     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
+    ["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4", "--allow-p2",
+     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
+    ["constants", "--format", "csv", "--out", "c.csv"],
+]
+
+
+def _subparsers(parser):
+    """The subcommand name -> parser map of PARSER ({} if it has none)."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def _leaf_paths(parser, path=()):
+    """The word paths (command, kind) that reach a parser without subcommands."""
+    subs = _subparsers(parser)
+    if not subs:
+        return {path}
+    return set().union(*(_leaf_paths(p, (*path, name)) for name, p in subs.items()))
+
+
+def _declared_flags(words):
+    """The option dests of the innermost parser that WORDS select."""
+    parser = build_parser()
+    for word in words:
+        parser = _subparsers(parser).get(word, parser)
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+class TestEveryFlagIsRead:
+    """A declared flag that no handler reads would be accepted and dropped
+    without a word, so every flag must be read on some valid invocation of
+    its command and kind."""
+
+    def _reads(self, argv, capsys, monkeypatch):
+        reads = set()
+
+        class ReadLog(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def parse_into_log(self, args=None, namespace=None):
+            parsed = parse_args(self, args, ReadLog())
+            reads.clear()  # count what main and the handler read, not argparse
+            return parsed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "parse_args", parse_into_log)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        return reads
+
+    def test_invocations_cover_every_command_and_kind(self):
+        leaves = _leaf_paths(build_parser())
+        words = {tuple(itertools.takewhile(lambda w: not w.startswith("-"), a))
+                 for a in INVOCATIONS}
+        assert words == leaves
+
+    def test_every_declared_flag_is_read(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        unread = {}
+        for argv in INVOCATIONS:
+            words = tuple(itertools.takewhile(lambda w: not w.startswith("-"), argv))
+            declared = unread.setdefault(words, _declared_flags(words))
+            declared -= self._reads(argv, capsys, monkeypatch)
+        assert {words: flags for words, flags in unread.items() if flags} == {}
+
+
 class TestVerifyCommand:
     ARGS = [
         "verify", "--d", "1,2", "--n", "1,2", "--patterns", "equal,single",
@@ -266,6 +419,23 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, *self.ARGS, "--format", "csv", "--out", str(out))
         assert code == 2
         assert f"no directory for --out '{out}'" in err
+
+    def test_out_needs_format_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sweep drew samples")
+
+        monkeypatch.setattr(report, "mc_tail_multi", no_sampling)
+        code, out, err = run_cli(capsys, *self.ARGS, "--out", str(tmp_path / "r.csv"))
+        assert code == 2 and out == ""
+        assert "argument --out: needs --format" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quantiles_exclude_u_linear(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--d", "1", "--quantiles", "0.5", "--u-linear", "0:1:3"
+        )
+        assert code == 2
+        assert "argument --u-linear: not allowed with argument --quantiles" in err
 
     def test_bound_columns_match_bound_command(self, capsys):
         common = ["--d", "3", "--u-linear", "0.2:1.4:4", "--constants", "c3,nt397"]
@@ -376,11 +546,21 @@ class TestInputErrors:
              "centre norms must be finite, got [nan]"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf", "--quadrature"],
              "centre norms must be finite, got [inf]"),
+            # a bad number is named, with the flag it was given to
+            (["bound", "--d", "2", "--coeffs", "1,x", "--u", "1"],
+             "argument --coeffs: invalid float value: 'x'"),
+            (["verify", "--d", "2,a"], "argument --d: invalid int value: 'a'"),
+            (["verify", "--d", "1", "--u-linear", "0:3"],
+             "argument --u-linear: expected LO:HI:COUNT, got '0:3'"),
+            (["verify", "--d", "1", "--u-linear", "0:x:3"],
+             "argument --u-linear: invalid float value: 'x'"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
-        # only the Monte Carlo commands take --samples
-        mc_command = argv[0] in ("verify", "check")
+        # only the Monte Carlo commands and check kinds take --samples
+        mc_command = argv[0] == "verify" or argv[:2] in (
+            ["check", kind] for kind in ("bisub", "bc", "gauss", "lemma2", "kwapien")
+        )
         samples = ["--samples", "1000"] if mc_command and "--samples" not in argv else []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

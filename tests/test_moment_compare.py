@@ -198,6 +198,14 @@ class TestIsBisubharmonic:
         with pytest.raises(ValueError):
             is_bisubharmonic_numeric(power(2), 2, y_set=[])
 
+    @pytest.mark.parametrize("t_grid", [[0.5, math.nan, 2.0], [0.5, 2.0, math.inf]])
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    def test_non_finite_grid_rejected(self, t_grid, method):
+        # NaN fails both "t <= 0" and "diff <= 0", so it once slipped through
+        # as an inconclusive report with margin nan
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            is_bisubharmonic_numeric(power(4), 3, t_grid=t_grid, method=method)
+
 
 class TestSchurMajorization:
     def test_spec_examples(self):
