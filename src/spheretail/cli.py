@@ -2,7 +2,7 @@
 oracles, comparison checks, and the constants table.
 
 Exit codes: 0 all checks hold, 1 a statistically conclusive violation was
-found, 2 usage error, 3 capacity or budget error.
+found, 2 usage or input error (overflow included), 3 capacity or budget error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -130,29 +131,118 @@ _KIND_FLAGS = {
     "--format": dict(choices=("json",), help="print the result as JSON after its line"),
 }
 _MC = ("--samples", "--seed", "--alpha")
-# kind -> (required flags, optional flags)
+
+
+def _schur(args):
+    idx = majorization_failure(MajorizationPair(args.a_sq, args.b_sq))
+    print("true" if idx is None else f"false (partial sums fail at sorted index {idx})")
+    return {"majorizes": idx is None, "failure_index": idx}, False
+
+
+def _classc(args):
+    fn = parse_test_function(args.f)
+    report = is_class_c(fn, grid=args.grid)
+    print(
+        f"{fn.label}: {'true' if report.passed else 'false'} "
+        f"(even={report.even_ok}, h'' convex={report.second_derivative_convex}, "
+        f"min margin={report.min_convexity_margin:.3g}, tol={report.tol:.3g})"
+    )
+    for w in report.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return dataclasses.asdict(report), False
+
+
+def _bisub(args):
+    fn = parse_test_function(args.f)
+    method = "quadrature" if args.quadrature else "mc"
+    report = is_bisubharmonic_numeric(
+        fn, args.d, args.y_norms, args.t_grid, args.samples, args.seed, args.alpha, method
+    )
+    print(
+        f"{fn.label} (d={args.d}): {report.status} "
+        f"(min margin={report.min_margin:.6g}, method={report.method})"
+    )
+    result = {"status": report.status, "min_margin": report.min_margin, "method": report.method}
+    return result, report.status == "fail"
+
+
+def _lemma2(args):
+    suite = [parse_test_function(tok) for tok in args.h.split(",")]
+    coeffs, d = args.xi_coeffs, args.d
+    xi = sample_sum_norms(coeffs, d, args.samples, args.seed) / scale(coeffs, d)
+    results = lemma2_hypothesis_check(xi, d, suite, alpha=args.alpha)
+    for res in results:
+        print(
+            f"{res.label}: {res.verdict} lhs={res.lhs:.6g} rhs={res.rhs:.6g} "
+            f"margin={res.margin:.6g}"
+        )
+    return [dataclasses.asdict(r) for r in results], any(r.verdict == "VIOLATED" for r in results)
+
+
+def _comparison(check):
+    """The handler of a kind whose check(args) is a ComparisonVerdict."""
+
+    def run(args):
+        result = check(args)
+        print(
+            f"lhs={result.lhs:.12g} rhs={result.rhs:.12g} margin={result.margin:.12g} "
+            f"margin_se={result.margin_se:.3g} verdict={result.verdict} "
+            f"conclusive={result.conclusive} method={result.method}"
+            + (f" note={result.note}" if result.note else "")
+        )
+        return dataclasses.asdict(result), result.verdict == "VIOLATED"
+
+    return run
+
+
+@_comparison
+def _bc(args):
+    fn, pair = parse_test_function(args.f), MajorizationPair(args.a_sq, args.b_sq)
+    return bc_comparison_check(fn, pair, args.d, args.samples, args.seed, args.alpha)
+
+
+@_comparison
+def _gauss(args):
+    fn = parse_test_function(args.f)
+    return gaussian_comparison_check(fn, args.coeffs, args.d, args.samples, args.seed, args.alpha)
+
+
+@_comparison
+def _kwapien(args):
+    return kwapien_check(
+        args.coeffs, args.d, args.p, args.samples, args.seed, args.alpha, allow_p2=args.allow_p2
+    )
+
+
+# kind -> (handler, required flags, optional flags); a check handler prints
+# its line(s) and returns (JSON object, violated), an oracle's returns its value
 _CHECK_KINDS = {
-    "schur": (("--a-sq", "--b-sq"), ()),
-    "classc": (("--f",), ("--grid",)),
-    "bisub": (("--f", "--d"), ("--y-norms", "--t-grid", "--quadrature", *_MC)),
-    "bc": (("--f", "--a-sq", "--b-sq", "--d"), _MC),
-    "gauss": (("--f", "--coeffs", "--d"), _MC),
-    "lemma2": (("--xi-coeffs", "--d", "--h"), _MC),
-    "kwapien": (("--coeffs", "--d", "--p"), (*_MC, "--allow-p2")),
+    "schur": (_schur, ("--a-sq", "--b-sq"), ()),
+    "classc": (_classc, ("--f",), ("--grid",)),
+    "bisub": (_bisub, ("--f", "--d"), ("--y-norms", "--t-grid", "--quadrature", *_MC)),
+    "bc": (_bc, ("--f", "--a-sq", "--b-sq", "--d"), _MC),
+    "gauss": (_gauss, ("--f", "--coeffs", "--d"), _MC),
+    "lemma2": (_lemma2, ("--xi-coeffs", "--d", "--h"), _MC),
+    "kwapien": (_kwapien, ("--coeffs", "--d", "--p"), (*_MC, "--allow-p2")),
 }
 _ORACLE_KINDS = {
-    "rademacher": (("--coeffs", "--u"), ("--non-strict",)),
-    "m2": (("--coeffs",), ()),
-    "m4": (("--coeffs", "--d"), ()),
+    "rademacher": (
+        lambda args: exact_rademacher_tail(args.coeffs, args.u, strict=not args.non_strict),
+        ("--coeffs", "--u"),
+        ("--non-strict",),
+    ),
+    "m2": (lambda args: second_moment_exact(args.coeffs), ("--coeffs",), ()),
+    "m4": (lambda args: fourth_moment_exact(args.coeffs, args.d), ("--coeffs", "--d"), ()),
 }
 
 
 def _add_kinds(p: argparse.ArgumentParser, kinds: dict, handler, common=()) -> None:
-    """One subparser per kind, declaring only the flags that kind reads."""
+    """One subparser per kind, declaring only the flags that kind reads and
+    setting the kind's handler as ``run``."""
     kind_parsers = p.add_subparsers(dest="which", metavar="KIND", required=True)
-    for kind, (required, optional) in kinds.items():
-        p_kind = kind_parsers.add_parser(kind)
-        p_kind.set_defaults(func=handler)
+    for kind, (run, required, optional) in kinds.items():
+        p_kind = kind_parsers.add_parser(kind, allow_abbrev=False)
+        p_kind.set_defaults(func=handler, run=run)
         for flag in (*required, *optional, *common):
             p_kind.add_argument(flag, required=flag in required, **_KIND_FLAGS[flag])
 
@@ -164,11 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Tail-comparison bounds for norms of sums of uniform-on-sphere "
             "vectors, with exact oracles and seeded Monte Carlo verification."
         ),
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_bound = sub.add_parser("bound", help="evaluate closed-form bounds")
+    p_bound = add_command("bound", help="evaluate closed-form bounds")
     p_bound.set_defaults(func=cmd_bound)
     p_bound.add_argument("--d", type=int, required=True)
     p_bound.add_argument("--coeffs", type=_floats, required=True)
@@ -178,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--constants", type=str, default="c3")
     _add_output_flags(p_bound)
 
-    p_verify = sub.add_parser(
-        "verify", help="Monte Carlo verification sweep against the bounds"
-    )
+    p_verify = add_command("verify", help="Monte Carlo verification sweep against the bounds")
     p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--d", type=_ints, required=True, metavar="D1,D2,...")
     p_verify.add_argument("--n", type=_ints, default=[1], metavar="N1,N2,...")
@@ -206,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(p_verify)
 
-    p_oracle = sub.add_parser("oracle", help="exact small-instance oracles")
+    p_oracle = add_command("oracle", help="exact small-instance oracles")
     _add_kinds(p_oracle, _ORACLE_KINDS, cmd_oracle)
-    p_check = sub.add_parser("check", help="structural and moment-comparison checks")
+    p_check = add_command("check", help="structural and moment-comparison checks")
     _add_kinds(p_check, _CHECK_KINDS, cmd_check, common=("--format",))
 
-    p_const = sub.add_parser("constants", help="the comparison-constant catalog")
+    p_const = add_command("constants", help="the comparison-constant catalog")
     p_const.set_defaults(func=cmd_constants)
     _add_output_flags(p_const, stamped=False)
 
@@ -265,109 +355,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.which == "rademacher":
-        value = exact_rademacher_tail(args.coeffs, args.u, strict=not args.non_strict)
-        print(repr(value))
-    elif args.which == "m2":
-        print(repr(second_moment_exact(args.coeffs)))
-    else:
-        print(repr(fourth_moment_exact(args.coeffs, args.d)))
+    print(repr(args.run(args)))
     return 0
 
 
-def _print_verdict(result) -> None:
-    print(
-        f"lhs={result.lhs:.12g} rhs={result.rhs:.12g} margin={result.margin:.12g} "
-        f"margin_se={result.margin_se:.3g} verdict={result.verdict} "
-        f"conclusive={result.conclusive} method={result.method}"
-        + (f" note={result.note}" if result.note else "")
-    )
-
-
 def cmd_check(args) -> int:
-    result = None  # the ComparisonVerdict of bc, gauss and kwapien
-    exit_code = 0
-    if args.which == "schur":
-        pair = MajorizationPair(tuple(args.a_sq), tuple(args.b_sq))
-        idx = majorization_failure(pair)
-        ok = idx is None
-        print("true" if ok else f"false (partial sums fail at sorted index {idx})")
-        result_obj = {"majorizes": ok, "failure_index": idx}
-    elif args.which == "classc":
-        fn = parse_test_function(args.f)
-        report = is_class_c(fn, grid=args.grid)
-        print(
-            f"{fn.label}: {'true' if report.passed else 'false'} "
-            f"(even={report.even_ok}, h'' convex={report.second_derivative_convex}, "
-            f"min margin={report.min_convexity_margin:.3g}, tol={report.tol:.3g})"
-        )
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        result_obj = dataclasses.asdict(report)
-    elif args.which == "bisub":
-        fn = parse_test_function(args.f)
-        report = is_bisubharmonic_numeric(
-            fn,
-            args.d,
-            y_set=args.y_norms,
-            t_grid=args.t_grid,
-            samples=args.samples,
-            seed=args.seed,
-            alpha=args.alpha,
-            method="quadrature" if args.quadrature else "mc",
-        )
-        print(
-            f"{fn.label} (d={args.d}): {report.status} "
-            f"(min margin={report.min_margin:.6g}, method={report.method})"
-        )
-        result_obj = {
-            "status": report.status,
-            "min_margin": report.min_margin,
-            "method": report.method,
-        }
-        exit_code = 1 if report.status == "fail" else 0
-    elif args.which == "bc":
-        fn = parse_test_function(args.f)
-        pair = MajorizationPair(tuple(args.a_sq), tuple(args.b_sq))
-        result = bc_comparison_check(
-            fn, pair, args.d, args.samples, args.seed, args.alpha
-        )
-    elif args.which == "gauss":
-        fn = parse_test_function(args.f)
-        result = gaussian_comparison_check(
-            fn, args.coeffs, args.d, args.samples, args.seed, args.alpha
-        )
-    elif args.which == "lemma2":
-        coeffs = args.xi_coeffs
-        d = args.d
-        suite = [parse_test_function(tok) for tok in args.h.split(",")]
-        xi = sample_sum_norms(coeffs, d, args.samples, args.seed) / scale(coeffs, d)
-        results = lemma2_hypothesis_check(xi, d, suite, alpha=args.alpha)
-        for res in results:
-            print(
-                f"{res.label}: {res.verdict} lhs={res.lhs:.6g} rhs={res.rhs:.6g} "
-                f"margin={res.margin:.6g}"
-            )
-        result_obj = [dataclasses.asdict(r) for r in results]
-        exit_code = 1 if any(r.verdict == "VIOLATED" for r in results) else 0
-    else:  # kwapien
-        result = kwapien_check(
-            args.coeffs,
-            args.d,
-            args.p,
-            args.samples,
-            args.seed,
-            args.alpha,
-            allow_p2=args.allow_p2,
-        )
-
-    if result is not None:
-        _print_verdict(result)
-        result_obj = dataclasses.asdict(result)
-        exit_code = 1 if result.verdict == "VIOLATED" else 0
+    result, violated = args.run(args)
     if args.format == "json":
-        print(json.dumps(result_obj, indent=2, default=str))
-    return exit_code
+        print(json.dumps(result, indent=2, default=str))
+    return 1 if violated else 0
 
 
 def cmd_constants(args) -> int:

@@ -164,6 +164,13 @@ def _z(alpha: float) -> float:
     return float(stats.norm.ppf(1.0 - alpha / 2.0))
 
 
+def _finite(value, what: str):
+    """VALUE, if every entry of it is finite (a nan comes from inf - inf)."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise ValueError(f"{what} overflows double precision")
+    return value
+
+
 def _mc_means(
     values: Callable[[np.ndarray], np.ndarray], rows, d: int, samples: int, seed: int
 ) -> list[tuple[float, float]]:
@@ -184,10 +191,12 @@ def _mc_means(
         dev = v - (total / v.shape[1])[:, None]
         return v.shape[1], total, np.einsum("ij,ij->i", dev, dev)
 
-    sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
-    sizes, totals = np.array(sizes, dtype=float), np.array(totals)
-    means = np.sum(totals, axis=0) / samples
-    m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects the result
+        sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
+        sizes, totals = np.array(sizes, dtype=float), np.array(totals)
+        means = np.sum(totals, axis=0) / samples
+        m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
+    _finite(np.append(means, m2), "a Monte Carlo mean or its error")
     return [(float(m), math.sqrt(v / (samples - 1) / samples)) for m, v in zip(means, m2)]
 
 
@@ -210,20 +219,16 @@ class ClassCReport:
     warnings: tuple[str, ...] = ()
 
 
-def default_classc_grid() -> np.ndarray:
-    return np.linspace(-2.0, 2.0, 81)
-
-
-def is_class_c(fn: TestFunction, grid=None, tol: float | None = None) -> ClassCReport:
+def is_class_c(fn: TestFunction, grid=None) -> ClassCReport:
     """Decide class-C membership of h on a symmetric grid.
 
     Checks (i) evenness h(-x) = h(x) at the grid points and (ii) convexity
     of a finite-difference second derivative h'' via its (nonuniform-safe)
-    second differences, which must stay above -tol.  The default tolerance
-    is 1e-6 times the scale of h''.  Grids with fewer than 21 points are
-    flagged as coarse in the report's warnings rather than silently trusted.
+    second differences, which must stay above -tol, where tol is 1e-6 times
+    the scale of h''.  Grids with fewer than 21 points are flagged as coarse
+    in the report's warnings rather than silently trusted.
     """
-    x = default_classc_grid() if grid is None else np.asarray(grid, dtype=float)
+    x = np.linspace(-2.0, 2.0, 81) if grid is None else np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 5:
         raise ValueError("grid must be a 1-d sequence with at least 5 points")
     if np.any(np.diff(x) <= 0):
@@ -238,25 +243,25 @@ def is_class_c(fn: TestFunction, grid=None, tol: float | None = None) -> ClassCR
             "classification may miss curvature defects"
         )
 
-    y = fn.h(x)
+    with np.errstate(all="ignore"):  # _finite rejects the result
+        y = fn.h(x)
+        # 3-point second derivative at interior points (nonuniform-safe)
+        dl = x[1:-1] - x[:-2]
+        dr = x[2:] - x[1:-1]
+        dd = x[2:] - x[:-2]
+        h2 = 2.0 * (y[:-2] / (dl * dd) - y[1:-1] / (dr * dl) + y[2:] / (dr * dd))
+        x2 = x[1:-1]
+        # discrete convexity of h'': slope increments scaled back to plain
+        # second differences on a uniform grid
+        slopes = np.diff(h2) / np.diff(x2)
+        second_diff = np.diff(slopes) * 0.5 * (x2[2:] - x2[:-2])
+    _finite(np.append(y, second_diff), f"{fn.label} on the grid")
     h_scale = max(1.0, float(np.abs(y).max()))
     evenness_violation = float(np.abs(y - y[::-1]).max())
     even_ok = evenness_violation <= 1e-9 * h_scale
-
-    # 3-point second derivative at interior points (nonuniform-safe)
-    dl = x[1:-1] - x[:-2]
-    dr = x[2:] - x[1:-1]
-    dd = x[2:] - x[:-2]
-    h2 = 2.0 * (y[:-2] / (dl * dd) - y[1:-1] / (dr * dl) + y[2:] / (dr * dd))
-    x2 = x[1:-1]
-
-    # discrete convexity of h'': slope increments scaled back to plain
-    # second differences on a uniform grid
-    slopes = np.diff(h2) / np.diff(x2)
-    second_diff = np.diff(slopes) * 0.5 * (x2[2:] - x2[:-2])
-    tol_used = tol if tol is not None else 1e-6 * max(1.0, float(np.abs(h2).max()))
-    min_margin = float(second_diff.min()) if second_diff.size else 0.0
-    convex_ok = min_margin >= -tol_used
+    tol = 1e-6 * max(1.0, float(np.abs(h2).max()))
+    min_margin = float(second_diff.min())  # a grid of 5 or more points has one
+    convex_ok = min_margin >= -tol
 
     return ClassCReport(
         passed=even_ok and convex_ok,
@@ -264,7 +269,7 @@ def is_class_c(fn: TestFunction, grid=None, tol: float | None = None) -> ClassCR
         second_derivative_convex=convex_ok,
         max_evenness_violation=evenness_violation,
         min_convexity_margin=min_margin,
-        tol=tol_used,
+        tol=tol,
         n_points=int(x.size),
         warnings=tuple(warnings),
     )
@@ -406,8 +411,10 @@ def is_bisubharmonic_numeric(
     z = _z(alpha)
 
     if method == "quadrature":
-        profiles = np.array([_mean_profile_quadrature(fn, d, y, ts) for y in norms])
-        margins = profiles[:, :-2] + profiles[:, 2:] - 2.0 * profiles[:, 1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects the result
+            profiles = np.array([_mean_profile_quadrature(fn, d, y, ts) for y in norms])
+            margins = profiles[:, :-2] + profiles[:, 2:] - 2.0 * profiles[:, 1:-1]
+        _finite(np.append(profiles, margins), f"E {fn.label}(||y + U sqrt t||) on the t grid")
         ses = np.zeros_like(margins)
     else:
         profiles, margins, ses = _bisub_mc(fn, d, norms, ts, max(2, samples // 2), seed)
@@ -452,17 +459,17 @@ class MajorizationPair:
         object.__setattr__(self, "b_sq", tuple(float(v) for v in b))
 
 
-def majorization_failure(pair: MajorizationPair, tol: float = 1e-12) -> int | None:
+def majorization_failure(pair: MajorizationPair) -> int | None:
     """Index of the first failing sorted partial sum, or None if (b_sq) is
     majorized by (a_sq).  Index len(a_sq) flags a total-sum mismatch."""
     a = np.sort(np.asarray(pair.a_sq))[::-1]
     b = np.sort(np.asarray(pair.b_sq))[::-1]
     ca = np.cumsum(a)
     cb = np.cumsum(b)
-    scl = max(1.0, float(ca[-1]), float(cb[-1]))
-    if abs(float(ca[-1] - cb[-1])) > tol * scl:
+    tol = 1e-12 * max(1.0, float(ca[-1]), float(cb[-1]))
+    if abs(float(ca[-1] - cb[-1])) > tol:
         return int(a.size)
-    bad = np.nonzero(cb > ca + tol * scl)[0]
+    bad = np.nonzero(cb > ca + tol)[0]
     return int(bad[0]) if bad.size else None
 
 
@@ -492,7 +499,7 @@ def second_moment_exact(coeffs: Sequence[float]) -> float:
 def fourth_moment_exact(coeffs: Sequence[float], d) -> float:
     """E ||sum a_i U_i||^4 in R^d, in closed form (see ``_moments``)."""
     a = coeff_array(coeffs)
-    return _moments((a * a).tolist(), check_dimension(d))[1]
+    return _finite(_moments((a * a).tolist(), check_dimension(d))[1], "E ||sum a_i U_i||^4")
 
 
 def gaussian_fourth_moment(coeffs: Sequence[float], d) -> float:
@@ -507,11 +514,14 @@ def _exact_sphere_side(fn: TestFunction, sq: Sequence[float], d: int) -> tuple[f
     sqrt(sq[0]) = |a_1| (a correctly rounded root of a correctly rounded
     square); powers 2 and 4 have the closed forms of ``_moments``."""
     if len(sq) == 1:
-        return float(fn.h(math.sqrt(sq[0]))), "exact-constant-norm"
-    if _is_power(fn, 2.0) or _is_power(fn, 4.0):
+        with np.errstate(over="ignore"):  # _finite rejects the result
+            value, method = float(fn.h(math.sqrt(sq[0]))), "exact-constant-norm"
+    elif _is_power(fn, 2.0) or _is_power(fn, 4.0):
         m2, m4 = _moments(sq, d)
-        return (m2, "exact-m2") if fn.param == 2.0 else (m4, "exact-m4")
-    return None, ""
+        value, method = (m2, "exact-m2") if fn.param == 2.0 else (m4, "exact-m4")
+    else:
+        return None, ""
+    return _finite(value, f"E {fn.label}(||sum a_i U_i||)"), method
 
 
 def _gauss_side(fn: TestFunction, t2: float, d: int) -> float:
@@ -523,7 +533,11 @@ def _gauss_side(fn: TestFunction, t2: float, d: int) -> float:
         a = math.sqrt(t2 / d)
         return chi_expectation(d, lambda r: fn.h(a * r))
     p = fn.param
-    return fn.sign * (t2 if p == 2.0 else (t2 / d) ** (0.5 * p) * chi_moment(d, p))
+    try:
+        value = fn.sign * (t2 if p == 2.0 else (t2 / d) ** (0.5 * p) * chi_moment(d, p))
+    except OverflowError:  # float ** and math.exp raise it instead of returning inf
+        value = math.inf
+    return _finite(value, f"E {fn.label}(a ||Z_d||)")
 
 
 @dataclass(frozen=True)
@@ -705,10 +719,12 @@ def lemma2_hypothesis_check(
                 HypothesisResult(fn.label, "SKIPPED_CLASS_C", class_c=report, note=note)
             )
             continue
-        vals = fn.h(xi)
-        lhs = float(vals.mean())
-        lhs_se = float(vals.std(ddof=1) / math.sqrt(xi.size))
         rhs = _gauss_side(fn, d, d)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects the result
+            vals = fn.h(xi)
+            lhs = float(vals.mean())
+            lhs_se = float(vals.std(ddof=1) / math.sqrt(xi.size))
+        _finite([lhs, lhs_se], f"E {fn.label}(xi)")
         margin = rhs - lhs
         verdict = judge(margin - z * lhs_se, margin + z * lhs_se)
         conclusive = verdict != "INCONCLUSIVE"

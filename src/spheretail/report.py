@@ -51,10 +51,6 @@ DEFAULT_QUANTILES = (0.5, 0.25, 0.1, 0.05, 0.01, 0.005, 0.001)
 DEFAULT_BUDGET = 100_000_000
 
 
-class BudgetError(CapacityError):
-    """The sweep would draw more Monte Carlo samples than the budget allows."""
-
-
 @dataclass(frozen=True)
 class CoefficientPattern:
     """A named recipe for a coefficient vector of a given length."""
@@ -150,7 +146,9 @@ class SweepSpec:
 @dataclass(frozen=True)
 class VerificationRecord:
     """One (query, constant) cell of a sweep; without an estimate it is a
-    bare bound, with verdict "" and ratio_upper 0.0."""
+    bare bound, with verdict "" and ratio_upper 0.0.  The verdict judges raw
+    bound - tail probability on the Clopper-Pearson interval, which never
+    exceeds 1, so a raw bound >= 1 needs no special case."""
 
     d: int
     n: int
@@ -166,11 +164,8 @@ class VerificationRecord:
             tail = chi_tail(self.d, self.u / self.bound.scale)
             ratio = self.estimate.ci_high / tail if tail > 0.0 else math.inf
             object.__setattr__(self, "ratio_upper", ratio)
-            object.__setattr__(self, "verdict", classify(self.estimate, self.bound))
-
-    def csv_row(self) -> list[str]:
-        row = self.json_dict()
-        return [_fmt(row.get(col, "")) for col in CSV_COLUMNS]
+            raw, est = self.bound.raw, self.estimate
+            object.__setattr__(self, "verdict", judge(raw - est.ci_high, raw - est.ci_low))
 
     def json_dict(self) -> dict:
         out = {
@@ -218,16 +213,6 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def classify(estimate: McEstimate, bound: BoundResult) -> str:
-    """HOLDS / VIOLATED / INCONCLUSIVE against the raw bound.
-
-    Judges the exact-binomial interval of raw bound - tail probability, so
-    VIOLATED means the lower confidence limit exceeds the raw bound.  A raw
-    bound >= 1 needs no special case: Clopper-Pearson never exceeds 1.
-    """
-    return judge(bound.raw - estimate.ci_high, bound.raw - estimate.ci_low)
-
-
 def sweep_instances(spec: SweepSpec) -> list[tuple[int, int, CoefficientPattern]]:
     """(d, n, pattern) combinations of a sweep, in deterministic order."""
     out = []
@@ -264,7 +249,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[VerificationRecord], SweepSummary]:
     instances = sweep_instances(spec)
     planned = spec.samples * len(instances)
     if planned > spec.budget:
-        raise BudgetError(
+        raise CapacityError(
             f"sweep would draw {planned} Monte Carlo samples over "
             f"{len(instances)} runs, above the budget of {spec.budget}"
         )
@@ -297,7 +282,8 @@ def records_to_csv(records: Sequence[VerificationRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        writer.writerow(rec.csv_row())
+        row = rec.json_dict()
+        writer.writerow([_fmt(row.get(col, "")) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -14,7 +14,7 @@ import pytest
 from spheretail import BoundResult, McEstimate, SweepSpec, VerificationRecord, get_constant
 from spheretail import report
 from spheretail.cli import build_parser, main
-from spheretail.report import CSV_COLUMNS, CoefficientPattern, classify, run_sweep
+from spheretail.report import CSV_COLUMNS, CoefficientPattern, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +233,17 @@ KIND_CASES = [
     (["oracle", "m4", "--coeffs", "1,1", "--d", "2"], ["--non-strict"]),
 ]
 KIND_IDS = [" ".join(argv[:2]) for argv, _ in KIND_CASES]
+CHECK_CASES = [argv for argv, _ in KIND_CASES if argv[0] == "check"]
+# keys of each check kind's JSON object; lemma2 prints a list of such objects
+JSON_KEYS = {
+    "schur": {"majorizes"},
+    "classc": {"passed"},
+    "bisub": {"status", "min_margin", "method"},
+    "bc": {"verdict", "method"},
+    "gauss": {"verdict", "method"},
+    "lemma2": {"label", "verdict"},
+    "kwapien": {"verdict", "method"},
+}
 
 
 class TestKindFlags:
@@ -250,6 +261,31 @@ class TestKindFlags:
         code, out, err = run_cli(capsys, *argv[:-2])
         assert code == 2 and out == ""
         assert f"the following arguments are required: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # --h would abbreviate --help, --f would abbreviate --format
+            ["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2", "--h", "power4"],
+            ["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4", "--f", "power4"],
+        ],
+        ids=["gauss --h", "kwapien --f"],
+    )
+    def test_abbreviation_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize("argv", CHECK_CASES, ids=[" ".join(a[:2]) for a in CHECK_CASES])
+    def test_json_follows_the_human_lines(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if line[:1] in "{[")
+        assert start >= 1
+        doc = json.loads("".join(lines[start:]))
+        entries = doc if argv[1] == "lemma2" else [doc]
+        assert entries and all(JSON_KEYS[argv[1]] <= set(entry) for entry in entries)
 
     def test_constants_takes_no_timestamp_flag(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--no-timestamp")
@@ -299,12 +335,32 @@ def _leaf_paths(parser, path=()):
     return set().union(*(_leaf_paths(p, (*path, name)) for name, p in subs.items()))
 
 
+def _parsers(parser):
+    """PARSER and every parser below it."""
+    return [parser, *(p for sub in _subparsers(parser).values() for p in _parsers(sub))]
+
+
 def _declared_flags(words):
     """The option dests of the innermost parser that WORDS select."""
     parser = build_parser()
     for word in words:
         parser = _subparsers(parser).get(word, parser)
     return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+class TestParserTree:
+    """A new subparser cannot bring prefix matching back, and a new kind
+    cannot lack a handler."""
+
+    def test_no_parser_accepts_abbreviations(self):
+        assert [p.prog for p in _parsers(build_parser()) if p.allow_abbrev] == []
+
+    def test_every_kind_has_a_handler(self):
+        root = build_parser()
+        kinds = {(command, kind): p for command, p in _subparsers(root).items()
+                 for kind, p in _subparsers(p).items()}
+        assert len(kinds) == 10
+        assert [path for path, p in kinds.items() if not callable(p.get_default("run"))] == []
 
 
 class TestEveryFlagIsRead:
@@ -554,6 +610,23 @@ class TestInputErrors:
              "argument --u-linear: expected LO:HI:COUNT, got '0:3'"),
             (["verify", "--d", "1", "--u-linear", "0:x:3"],
              "argument --u-linear: invalid float value: 'x'"),
+            # no side, oracle value or profile may rest on overflow
+            (["check", "gauss", "--f", "power4", "--coeffs", "1e100,1e100", "--d", "3"],
+             "E power4(a ||Z_d||) overflows double precision"),
+            (["check", "kwapien", "--coeffs", "1,1", "--d", "3", "--p", "1e6"],
+             "E power1e+06(a ||Z_d||) overflows double precision"),
+            (["oracle", "m4", "--coeffs", "1e100,1", "--d", "3"],
+             "E ||sum a_i U_i||^4 overflows double precision"),
+            (["check", "bc", "--f", "power4", "--a-sq", "1e200,0", "--b-sq", "5e199,5e199",
+              "--d", "3"],
+             "E power4(||sum a_i U_i||) overflows double precision"),
+            (["check", "classc", "--f", "cosh", "--grid=-1000:1000:81"],
+             "cosh1 on the grid overflows double precision"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3"],
+             "a Monte Carlo mean or its error overflows double precision"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3",
+              "--quadrature"],
+             "E power4(||y + U sqrt t||) on the t grid overflows double precision"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
@@ -600,31 +673,37 @@ class TestRecordReproducibility:
 
 
 class TestVerdictClassification:
+    """A record judges the interval [raw - ci_high, raw - ci_low]."""
+
+    @staticmethod
+    def verdict(bound, est):
+        return VerificationRecord(1, 1, "single", 0.0, bound, est).verdict
+
     def test_violated_requires_ci_separation(self):
         bound = BoundResult(get_constant("c3"), 1.0, 0.10, 0.10)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
-        assert classify(est, bound) == "VIOLATED"
+        assert self.verdict(bound, est) == "VIOLATED"
 
     def test_holds_when_raw_above_one(self):
         bound = BoundResult(get_constant("c3"), 1.0, 1.4, 1.0)
         est = McEstimate(1.0, 0.95, 1.0, 1000, 1000, 0, 0.01)
-        assert classify(est, bound) == "HOLDS"
+        assert self.verdict(bound, est) == "HOLDS"
 
     def test_inconclusive_straddle(self):
         bound = BoundResult(get_constant("c3"), 1.0, 0.20, 0.20)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
-        assert classify(est, bound) == "INCONCLUSIVE"
+        assert self.verdict(bound, est) == "INCONCLUSIVE"
 
     def test_holds_when_ci_below_bound(self):
         bound = BoundResult(get_constant("c3"), 1.0, 0.30, 0.30)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
-        assert classify(est, bound) == "HOLDS"
+        assert self.verdict(bound, est) == "HOLDS"
 
     def test_record_derives_verdict_and_ratio(self):
         bound = BoundResult(get_constant("c3"), 1.0, 0.10, 0.10)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         rec = VerificationRecord(1, 1, "single", 0.0, bound, est)
-        assert rec.verdict == classify(est, bound) == "VIOLATED"
+        assert rec.verdict == "VIOLATED"
         assert rec.ratio_upper == 0.25  # the chi tail is 1 at u = 0
         bare = VerificationRecord(1, 1, "single", 0.0, bound)
         assert (bare.verdict, bare.ratio_upper) == ("", 0.0)
