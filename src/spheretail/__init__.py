@@ -49,7 +49,6 @@ from .moment_compare import (
 )
 from .report import (
     CoefficientPattern,
-    SweepSpec,
     VerificationRecord,
     run_sweep,
 )

@@ -37,7 +37,6 @@ from .moment_compare import (
 from .report import (
     DEFAULT_BUDGET,
     DEFAULT_QUANTILES,
-    SweepSpec,
     bound_records,
     parse_pattern_list,
     records_to_csv,
@@ -74,6 +73,8 @@ def _range_spec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"COUNT must be >= 2, got {count}")
     if not np.all(np.isfinite([lo, hi])):
         raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
+    if not np.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"the span HI - LO overflows, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list: equal, single, geometric[:ratio], explicit:a,b,...",
     )
     thresholds = p_verify.add_mutually_exclusive_group()
-    thresholds.add_argument("--quantiles", type=_floats)
+    thresholds.add_argument("--quantiles", type=_floats, default=DEFAULT_QUANTILES)
     thresholds.add_argument("--u-linear", type=_range_spec, metavar="LO:HI:COUNT")
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -324,26 +325,23 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = SweepSpec(
-        dimensions=tuple(args.d),
-        n_values=tuple(args.n),
-        patterns=parse_pattern_list(args.patterns),
-        quantiles=DEFAULT_QUANTILES if args.quantiles is None else tuple(args.quantiles),
-        thresholds=None if args.u_linear is None else tuple(args.u_linear),
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # fail before the sweep, not after it has drawn every sample
+        raise FileNotFoundError(f"no directory for --out {args.out!r}")
+    records, summary = run_sweep(
+        args.d, args.n, parse_pattern_list(args.patterns),
+        quantiles=args.quantiles,
+        thresholds=args.u_linear,
         samples=args.samples,
         seed=args.seed,
         alpha=args.alpha,
-        constants=tuple(args.constants.split(",")),
+        constants=args.constants.split(","),
         normalize=not args.no_normalize,
         workers=args.workers,
         budget=args.budget,
     )
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        # fail before the sweep, not after it has drawn every sample
-        raise FileNotFoundError(f"no directory for --out {args.out!r}")
-    records, summary = run_sweep(spec)
     if args.format:
-        _write_report(args, records, spec.seed, summary)
+        _write_report(args, records, args.seed, summary)
     if args.format is None or args.out:
         print(
             f"records={summary.n_records} holds={summary.holds} "

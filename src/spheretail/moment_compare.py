@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bounds import coeff_array, sum_sq
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
@@ -161,7 +161,7 @@ def _is_power(fn: TestFunction, p: float) -> bool:
 def _z(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+    return float(special.ndtri(1.0 - alpha / 2.0))
 
 
 def _finite(value, what: str):
@@ -455,6 +455,12 @@ class MajorizationPair:
             raise ValueError("entries must be finite")
         if np.any(a < 0) or np.any(b < 0):
             raise ValueError("squared coefficients must be nonnegative")
+        for name, sq in (("a_sq", a), ("b_sq", b)):
+            try:
+                total = math.fsum(sq.tolist())
+            except OverflowError:  # fsum raises on an intermediate overflow
+                total = math.inf
+            _finite(total, f"the sum of {name}")
         object.__setattr__(self, "a_sq", tuple(float(v) for v in a))
         object.__setattr__(self, "b_sq", tuple(float(v) for v in b))
 

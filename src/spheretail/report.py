@@ -116,34 +116,6 @@ def parse_pattern_list(text: str) -> tuple[CoefficientPattern, ...]:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Everything cmd_verify needs to run one sweep."""
-
-    dimensions: tuple[int, ...]
-    n_values: tuple[int, ...]
-    patterns: tuple[CoefficientPattern, ...]
-    #: comparator tail quantiles that place the thresholds of each instance
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    #: fixed thresholds used by every instance instead, if given
-    thresholds: tuple[float, ...] | None = None
-    samples: int = 1_000_000
-    seed: int = 0
-    alpha: float = 0.01
-    constants: tuple[str, ...] = ("c3",)
-    normalize: bool = True
-    workers: int = 1
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if not self.dimensions or not self.patterns:
-            raise ValueError("sweep needs at least one dimension and one pattern")
-        if any(k.kind != "explicit" for k in self.patterns) and not self.n_values:
-            raise ValueError("sweep needs n values for non-explicit patterns")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError(f"n must be >= 1, got {min(self.n_values)}")
-
-
-@dataclass(frozen=True)
 class VerificationRecord:
     """One (query, constant) cell of a sweep; without an estimate it is a
     bare bound, with verdict "" and ratio_upper 0.0.  The verdict judges raw
@@ -213,19 +185,6 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def sweep_instances(spec: SweepSpec) -> list[tuple[int, int, CoefficientPattern]]:
-    """(d, n, pattern) combinations of a sweep, in deterministic order."""
-    out = []
-    for d in spec.dimensions:
-        for pat in spec.patterns:
-            if pat.kind == "explicit":
-                out.append((d, len(pat.values), pat))
-            else:
-                for n in spec.n_values:
-                    out.append((d, n, pat))
-    return out
-
-
 def bound_records(
     d: int, pattern: str, coeffs, thresholds, constants, estimates=None
 ) -> list[VerificationRecord]:
@@ -242,29 +201,54 @@ def bound_records(
     return records
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[VerificationRecord], SweepSummary]:
-    """Run the sweep: one Monte Carlo pass per (d, pattern) sharing its
-    sample stream over the whole threshold grid, then one record per
-    (threshold, constant)."""
-    instances = sweep_instances(spec)
-    planned = spec.samples * len(instances)
-    if planned > spec.budget:
+def run_sweep(
+    dimensions: Sequence[int],
+    n_values: Sequence[int],
+    patterns: Sequence[CoefficientPattern],
+    *,
+    quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    thresholds: Sequence[float] | None = None,
+    samples: int = 1_000_000,
+    seed: int = 0,
+    alpha: float = 0.01,
+    constants: Sequence[str] = ("c3",),
+    normalize: bool = True,
+    workers: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[list[VerificationRecord], SweepSummary]:
+    """Run the sweep over every (d, n, pattern), in that order; an explicit
+    pattern brings its own n.  Each instance gets one Monte Carlo pass
+    sharing its sample stream over the whole threshold grid: the fixed
+    ``thresholds`` if given, else the comparator tail ``quantiles``.  Then
+    one record per (threshold, constant)."""
+    if not dimensions or not patterns:
+        raise ValueError("sweep needs at least one dimension and one pattern")
+    if any(k.kind != "explicit" for k in patterns) and not n_values:
+        raise ValueError("sweep needs n values for non-explicit patterns")
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"n must be >= 1, got {min(n_values)}")
+    instances = [
+        (d, n, pat)
+        for d in dimensions
+        for pat in patterns
+        for n in ((len(pat.values),) if pat.kind == "explicit" else n_values)
+    ]
+    planned = samples * len(instances)
+    if planned > budget:
         raise CapacityError(
             f"sweep would draw {planned} Monte Carlo samples over "
-            f"{len(instances)} runs, above the budget of {spec.budget}"
+            f"{len(instances)} runs, above the budget of {budget}"
         )
-    constants = [get_constant(c) for c in spec.constants]
+    constants = [get_constant(c) for c in constants]
     records: list[VerificationRecord] = []
     for d, n, pat in instances:
-        coeffs = pat.materialize(n, spec.normalize)
-        thresholds = spec.thresholds
-        if thresholds is None:
+        coeffs = pat.materialize(n, normalize)
+        us = thresholds
+        if us is None:
             a_cmp = scale(coeffs, d)
-            thresholds = [a_cmp * chi_tail_inverse(d, q) for q in spec.quantiles]
-        estimates = mc_tail_multi(
-            d, coeffs, thresholds, spec.samples, spec.seed, spec.alpha, spec.workers
-        )
-        records += bound_records(d, pat.label, coeffs, thresholds, constants, estimates)
+            us = [a_cmp * chi_tail_inverse(d, q) for q in quantiles]
+        estimates = mc_tail_multi(d, coeffs, us, samples, seed, alpha, workers)
+        records += bound_records(d, pat.label, coeffs, us, constants, estimates)
     verdicts = Counter(r.verdict for r in records)
     summary = SweepSummary(
         n_records=len(records),

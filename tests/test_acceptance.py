@@ -15,7 +15,6 @@ import pytest
 
 from spheretail import (
     MajorizationPair,
-    SweepSpec,
     bc_comparison_check,
     chi_tail,
     exact_rademacher_tail,
@@ -118,7 +117,7 @@ def test_criterion_04_gaussian_dominance_identity():
 def test_criterion_05_theorem_sweep():
     from spheretail.report import CoefficientPattern
 
-    spec = SweepSpec(
+    records, summary = run_sweep(
         dimensions=(1, 2, 3, 5, 10),
         n_values=(1, 2, 5, 10),
         patterns=(
@@ -132,7 +131,6 @@ def test_criterion_05_theorem_sweep():
         constants=("c3",),
         workers=2,
     )
-    records, summary = run_sweep(spec)
     assert summary.n_records == 5 * 4 * 3 * 7
     assert summary.violated == 0, [r for r in records if r.verdict == "VIOLATED"]
     print(

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of reports."""
 
 import argparse
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -11,10 +12,10 @@ import warnings
 
 import pytest
 
-from spheretail import BoundResult, McEstimate, SweepSpec, VerificationRecord, get_constant
-from spheretail import report
+from spheretail import BoundResult, McEstimate, VerificationRecord, get_constant
+from spheretail import __version__, report
 from spheretail.cli import build_parser, main
-from spheretail.report import CSV_COLUMNS, CoefficientPattern, run_sweep
+from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -516,6 +517,49 @@ class TestVerifyCommand:
             main(["verify", "--d"])  # missing value
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "grid_argv, grid",
+        [
+            (["--quantiles", "0.3,0.02"], dict(quantiles=(0.3, 0.02))),
+            (["--u-linear", "0.5:1.5:3"], dict(thresholds=(0.5, 1.0, 1.5))),
+        ],
+        ids=["quantiles", "u-linear"],
+    )
+    def test_report_equals_direct_run_sweep(self, capsys, tmp_path, grid_argv, grid):
+        # every verify setting away from its default
+        out = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--d", "1,3", "--n", "2,3",
+            "--patterns", "explicit:0.3,0.4,1.2,equal", "--no-normalize", *grid_argv,
+            "--samples", "3000", "--seed", "7", "--alpha", "0.05", "--constants", "c3,cstar",
+            "--workers", "2", "--budget", "20000",
+            "--format", "json", "--no-timestamp", "--out", str(out),
+        )
+        assert code == 0
+        records, summary = run_sweep(
+            dimensions=(1, 3),
+            n_values=(2, 3),
+            patterns=(
+                CoefficientPattern("explicit", values=(0.3, 0.4, 1.2)),
+                CoefficientPattern("equal"),
+            ),
+            samples=3000, seed=7, alpha=0.05, constants=("c3", "cstar"),
+            normalize=False, workers=2, budget=20000, **grid,
+        )
+        assert out.read_text() == records_to_json(
+            records, 7, __version__, summary, timestamp=False
+        )
+
+    def test_defaults_match_run_sweep(self):
+        args = build_parser().parse_args(["verify", "--d", "1"])
+        from_cli = dict(
+            quantiles=args.quantiles, thresholds=args.u_linear, samples=args.samples,
+            seed=args.seed, alpha=args.alpha, constants=tuple(args.constants.split(",")),
+            normalize=not args.no_normalize, workers=args.workers, budget=args.budget,
+        )
+        params = inspect.signature(run_sweep).parameters.values()
+        assert from_cli == {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
     def test_explicit_pattern_with_commas(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--d", "1", "--n", "2",
@@ -627,6 +671,20 @@ class TestInputErrors:
             (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3",
               "--quadrature"],
              "E power4(||y + U sqrt t||) on the t grid overflows double precision"),
+            # sweep settings with no dimension or no n
+            (["verify", "--d", ""], "sweep needs at least one dimension and one pattern"),
+            (["verify", "--d", "2", "--n", ""], "sweep needs n values for non-explicit patterns"),
+            # a grid whose span HI - LO overflows
+            (["bound", "--d", "2", "--coeffs", "1", "--u-linear=-1e308:1e308:3"],
+             "argument --u-linear: the span HI - LO overflows, got '-1e308:1e308:3'"),
+            (["check", "classc", "--f", "power4", "--grid=-1e308:1e308:5"],
+             "argument --grid: the span HI - LO overflows, got '-1e308:1e308:5'"),
+            # squared coefficients whose sum overflows
+            (["check", "schur", "--a-sq", "1e308,1e308", "--b-sq", "1e308,1e307"],
+             "the sum of a_sq overflows double precision"),
+            (["check", "bc", "--f", "power2", "--a-sq", "1e308,1e308", "--b-sq", "1e308,1e308",
+              "--d", "3"],
+             "the sum of a_sq overflows double precision"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
@@ -711,10 +769,9 @@ class TestVerdictClassification:
 
 class TestSweepThresholds:
     def test_fixed_thresholds_are_recorded(self):
-        spec = SweepSpec(
+        records, summary = run_sweep(
             dimensions=(2,), n_values=(2,), patterns=(CoefficientPattern("equal"),),
             thresholds=(0.5, 1.25), samples=2000, constants=("c3", "cstar"),
         )
-        records, summary = run_sweep(spec)
         assert [r.u for r in records] == [0.5, 0.5, 1.25, 1.25]
         assert summary.max_ratio_upper == max(r.ratio_upper for r in records) > 0.0

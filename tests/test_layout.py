@@ -5,10 +5,14 @@ module other than ``__init__`` imports a name it never uses, and no module
 other than ``sampling`` touches a random-number source: every Monte Carlo
 sample comes from its engine.  Every package name the benchmark under
 ``perfbench/`` calls or traces exists, so a deletion cannot break it silently.
+Importing the package does not load ``scipy.stats``, which it does not need.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,17 @@ def test_benchmark_traces_only_existing_functions():
         if not hasattr(importlib.import_module(f"spheretail.{home}"), name)
     ]
     assert not missing, f"perfbench/spans.py traces missing functions: {missing}"
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter: this one may have imported scipy.stats already
+    code = "import sys, spheretail; print('scipy.stats' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
