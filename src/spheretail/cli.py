@@ -55,6 +55,13 @@ def _number(token: str, kind: type = float):
         ) from None
 
 
+def _positive_int(token: str) -> int:
+    value = _number(token, int)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     return [_number(v) for v in text.split(",") if v.strip() != ""]
 
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--alpha", type=float, default=0.01)
     p_verify.add_argument("--constants", type=str, default="c3")
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument(
         "--no-normalize",

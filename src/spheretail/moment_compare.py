@@ -25,6 +25,7 @@ Hypothesis-style checks report "consistent", never "proven".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -314,20 +315,32 @@ class BisubReport:
         return min(t.margin for t in self.triples)
 
 
+@functools.cache
+def _angle_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos theta_i, sin theta_i, w_i): the 257-node Gauss-Legendre rule
+    mapped onto [0, pi], built on first use and then shared (read-only)."""
+    t, w = np.polynomial.legendre.leggauss(257)
+    theta = 0.5 * math.pi * (t + 1.0)
+    rule = (np.cos(theta), np.sin(theta), w * (0.5 * math.pi))
+    for v in rule:
+        v.flags.writeable = False
+    return rule
+
+
 def _cos_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for E over cos(angle between U and a fixed direction).
 
     Returns (cos theta_i, normalized weights): the two points +-1 for d = 1,
-    else 257 Gauss-Legendre nodes with weight density proportional to
-    sin^(d-2) theta on [0, pi], self-normalized so constants integrate
-    exactly to 1.
+    else the 257 nodes of ``_angle_rule`` with weight density proportional
+    to sin^(d-2) theta on [0, pi], self-normalized so constants integrate
+    exactly to 1.  The nodes are built once per process; only the
+    sin^(d-2) weighting is computed per call.
     """
     if d == 1:
         return np.array([1.0, -1.0]), np.array([0.5, 0.5])
-    t, w = np.polynomial.legendre.leggauss(257)
-    theta = 0.5 * math.pi * (t + 1.0)
-    w = w * (0.5 * math.pi) * np.sin(theta) ** (d - 2)
-    return np.cos(theta), w / w.sum()
+    cosv, sinv, w = _angle_rule()
+    w = w * sinv ** (d - 2)
+    return cosv, w / w.sum()
 
 
 def _mean_profile_quadrature(fn, d, y_norm, ts) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundResult, TailQuery, coeff_array, get_constant, scale, sum_sq, theorem_bound
 from .gaussian_chi import chi_tail, chi_tail_inverse
-from .sampling import CapacityError, McEstimate, judge, mc_tail_multi
+from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
 
 #: frozen CSV schema, one row per (query, constant)
 CSV_COLUMNS = (
@@ -219,7 +219,8 @@ def run_sweep(
     """Run the sweep over every (d, n, pattern), in that order; an explicit
     pattern brings its own n.  Each instance gets one Monte Carlo pass
     sharing its sample stream over the whole threshold grid: the fixed
-    ``thresholds`` if given, else the comparator tail ``quantiles``.  Then
+    ``thresholds`` if given, else the comparator tail ``quantiles``; one
+    ``mc_tail_batch`` call runs every instance's pass on one pool.  Then
     one record per (threshold, constant)."""
     if not dimensions or not patterns:
         raise ValueError("sweep needs at least one dimension and one pattern")
@@ -227,6 +228,12 @@ def run_sweep(
         raise ValueError("sweep needs n values for non-explicit patterns")
     if any(n < 1 for n in n_values):
         raise ValueError(f"n must be >= 1, got {min(n_values)}")
+    for name, values in (("d", dimensions), ("n", n_values)):
+        repeated = [v for v, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{name} value {repeated[0]} is repeated; list each value once")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     instances = [
         (d, n, pat)
         for d in dimensions
@@ -240,14 +247,17 @@ def run_sweep(
             f"{len(instances)} runs, above the budget of {budget}"
         )
     constants = [get_constant(c) for c in constants]
-    records: list[VerificationRecord] = []
+    queries = []
     for d, n, pat in instances:
         coeffs = pat.materialize(n, normalize)
         us = thresholds
         if us is None:
             a_cmp = scale(coeffs, d)
             us = [a_cmp * chi_tail_inverse(d, q) for q in quantiles]
-        estimates = mc_tail_multi(d, coeffs, us, samples, seed, alpha, workers)
+        queries.append((d, coeffs, us))
+    batch = mc_tail_batch(queries, samples, seed, alpha, workers)
+    records: list[VerificationRecord] = []
+    for (d, coeffs, us), (_, _, pat), estimates in zip(queries, instances, batch):
         records += bound_records(d, pat.label, coeffs, us, constants, estimates)
     verdicts = Counter(r.verdict for r in records)
     summary = SweepSummary(

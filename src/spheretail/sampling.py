@@ -19,7 +19,8 @@ Determinism contract
 Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
-Workers only map chunks to threads, so the drawn sample stream, the hit
+Workers only map chunks to threads (one pool maps every (instance, chunk)
+pair of a ``mc_tail_batch`` call), so the drawn sample stream, the hit
 count, and hence the reported estimate are identical for any degree of
 parallelism.
 
@@ -147,6 +148,37 @@ def _radial_chain(rows: np.ndarray, d: int, rng: np.random.Generator, size: int)
     return r
 
 
+def _map_chunks(tasks, n_samples: int, seed: int, workers: int) -> list[list]:
+    """[[fn(norms_k) for each chunk k] for each task (fn, rows, d)].
+
+    Every task draws the same chunk layout, and chunk k of any task draws
+    from ``RngStream(seed, k)``.  One pool of ``workers`` threads maps all
+    (task, chunk) pairs, so a batch of short runs keeps every thread busy,
+    and the results do not depend on ``workers``.
+    """
+    tasks = [(fn, np.asarray(rows, dtype=float), check_dimension(d)) for fn, rows, d in tasks]
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    full, rem = divmod(n_samples, CHUNK_SIZE)
+    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
+    jobs = [(i, k) for i in range(len(tasks)) for k in range(len(sizes))]
+
+    def chunk(job: tuple[int, int]):
+        (fn, a, d), k = tasks[job[0]], job[1]
+        r = _radial_chain(np.atleast_2d(a), d, RngStream(seed, k).generator(), sizes[k])
+        return fn(r if a.ndim == 2 else r[0])
+
+    if workers == 1:
+        results = [chunk(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(chunk, jobs))
+    m = len(sizes)
+    return [results[i * m : (i + 1) * m] for i in range(len(tasks))]
+
+
 def map_sum_norms(
     fn: Callable[[np.ndarray], object], rows, d, n_samples: int, seed: int, workers: int = 1
 ) -> list:
@@ -156,32 +188,57 @@ def map_sum_norms(
     a stack of equal-length vectors, giving norms_k of shape
     (len(rows), size) in which every row uses the same C draws (common
     random numbers).  Chunk k draws from ``RngStream(seed, k)``, so the
-    result does not depend on ``workers``.
+    result does not depend on ``workers``.  This is the one-task case of
+    the chunk dispatch that ``mc_tail_batch`` uses.
     """
-    a = np.asarray(rows, dtype=float)
-    d = check_dimension(d)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    stack = np.atleast_2d(a)
-    full, rem = divmod(n_samples, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-
-    def chunk(k: int):
-        r = _radial_chain(stack, d, RngStream(seed, k).generator(), sizes[k])
-        return fn(r if a.ndim == 2 else r[0])
-
-    if workers == 1:
-        return [chunk(k) for k in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, range(len(sizes))))
+    return _map_chunks([(fn, rows, d)], n_samples, seed, workers)[0]
 
 
 def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> np.ndarray:
     """n_samples draws of ||a_1 U_1 + ... + a_n U_n||, a fixed function of
     (coeffs, d, n_samples, seed)."""
     return np.concatenate(map_sum_norms(lambda r: r, coeff_array(coeffs), d, n_samples, seed))
+
+
+def _hit_counter(us: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """norms -> the number of norms above each threshold in ``us``."""
+    return lambda r: np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
+
+
+def mc_tail_batch(
+    instances: Sequence[tuple[int, Sequence[float], Sequence[float]]],
+    n_samples: int,
+    seed: int,
+    alpha: float = 0.01,
+    workers: int = 1,
+) -> list[list[McEstimate]]:
+    """``mc_tail_multi(d, coeffs, u_values, ...)`` for each (d, coeffs,
+    u_values) in ``instances``, in that order.
+
+    One pool of ``workers`` threads maps every (instance, chunk) pair, so a
+    sweep of many short instances starts one pool, not one per instance.
+    Each instance keeps its own stream (chunk k from ``RngStream(seed, k)``),
+    so every estimate equals the one-instance call and does not depend on
+    ``workers``.
+    """
+    tasks = []
+    for d, coeffs, u_values in instances:
+        a = coeff_array(coeffs)
+        us = np.asarray(u_values, dtype=float)
+        if us.ndim != 1 or us.size < 1 or not np.all(np.isfinite(us)):
+            raise ValueError("u_values must be a nonempty sequence of finite reals")
+        tasks.append((_hit_counter(us), a, d))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    out = []
+    for chunk_hits in _map_chunks(tasks, n_samples, seed, workers):
+        hits = np.sum(chunk_hits, axis=0)
+        lows, highs = clopper_pearson(hits, n_samples, alpha)
+        out.append([
+            McEstimate(int(h) / n_samples, float(lo), float(hi), n_samples, int(h), seed, alpha)
+            for h, lo, hi in zip(hits, lows, highs)
+        ])
+    return out
 
 
 def mc_tail_multi(
@@ -197,24 +254,10 @@ def mc_tail_multi(
 
     All thresholds are counted against the same sample stream, so the entry
     for each u is exactly what ``mc_tail`` would return for that u alone:
-    the stream depends on (seed, n_samples, coeffs, d) but not on u.
+    the stream depends on (seed, n_samples, coeffs, d) but not on u.  This
+    is the one-instance case of ``mc_tail_batch``.
     """
-    a = coeff_array(coeffs)
-    us = np.asarray(u_values, dtype=float)
-    if us.ndim != 1 or us.size < 1 or not np.all(np.isfinite(us)):
-        raise ValueError("u_values must be a nonempty sequence of finite reals")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-    def chunk_hits(r: np.ndarray) -> np.ndarray:
-        return np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
-
-    hits = np.sum(map_sum_norms(chunk_hits, a, d, n_samples, seed, workers), axis=0)
-    lows, highs = clopper_pearson(hits, n_samples, alpha)
-    return [
-        McEstimate(int(h) / n_samples, float(lo), float(hi), n_samples, int(h), seed, alpha)
-        for h, lo, hi in zip(hits, lows, highs)
-    ]
+    return mc_tail_batch([(d, coeffs, u_values)], n_samples, seed, alpha, workers)[0]
 
 
 def mc_tail(

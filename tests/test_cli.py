@@ -16,6 +16,7 @@ from spheretail import BoundResult, McEstimate, VerificationRecord, get_constant
 from spheretail import __version__, report
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
+from spheretail.sampling import CHUNK_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -424,6 +425,29 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # three instances of two chunks each, the last chunk partial
+            ["--d", "1,3,5", "--n", "3", "--samples", str(CHUNK_SIZE + 1000)],
+            # one instance of five chunks
+            ["--d", "2", "--n", "4", "--patterns", "geometric:0.5",
+             "--samples", str(4 * CHUNK_SIZE + 1)],
+        ],
+        ids=["three-instances", "five-chunks"],
+    )
+    def test_report_identical_at_any_worker_count(self, capsys, tmp_path, argv):
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.json"
+            code, stdout, _ = run_cli(
+                capsys, "verify", *argv, "--seed", "5", "--workers", str(workers),
+                "--format", "json", "--no-timestamp", "--out", str(out),
+            )
+            assert code == 0
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_json_no_timestamp_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -471,7 +495,7 @@ class TestVerifyCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sweep drew samples")
 
-        monkeypatch.setattr(report, "mc_tail_multi", no_sampling)
+        monkeypatch.setattr(report, "mc_tail_batch", no_sampling)
         out = tmp_path / "missing" / "x.csv"
         code, _, err = run_cli(capsys, *self.ARGS, "--format", "csv", "--out", str(out))
         assert code == 2
@@ -481,11 +505,33 @@ class TestVerifyCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sweep drew samples")
 
-        monkeypatch.setattr(report, "mc_tail_multi", no_sampling)
+        monkeypatch.setattr(report, "mc_tail_batch", no_sampling)
         code, out, err = run_cli(capsys, *self.ARGS, "--out", str(tmp_path / "r.csv"))
         assert code == 2 and out == ""
         assert "argument --out: needs --format" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--d", "1", "--budget", "-1"], "argument --budget: must be >= 1, got -1"),
+            (["--d", "1", "--budget", "0"], "argument --budget: must be >= 1, got 0"),
+            (["--d", "1", "--n", "1,1"], "n value 1 is repeated; list each value once"),
+            (["--d", "2,3,2"], "d value 2 is repeated; list each value once"),
+        ],
+    )
+    def test_bad_setting_fails_before_sampling(self, capsys, monkeypatch, argv, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sweep drew samples")
+
+        monkeypatch.setattr(report, "mc_tail_batch", no_sampling)
+        code, out, err = run_cli(capsys, "verify", *argv, "--samples", "10")
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_run_sweep_rejects_budget_below_one(self):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            run_sweep((1,), (1,), (CoefficientPattern("equal"),), samples=10, budget=0)
 
     def test_quantiles_exclude_u_linear(self, capsys):
         code, _, err = run_cli(

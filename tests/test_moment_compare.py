@@ -1,6 +1,7 @@
 """Tests for class-C membership, bisubharmonicity, majorization, and the
 moment-comparison checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from spheretail import (
     second_moment_exact,
     softplus_squared,
 )
+from spheretail import moment_compare
 from spheretail.moment_compare import majorization_failure
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
@@ -170,6 +172,29 @@ class TestIsBisubharmonic:
                 margins.mean(axis=1).tolist(), rel=1e-12
             )
             assert [tr.se for tr in triples] == pytest.approx(se.tolist(), rel=1e-9)
+
+    def test_quadrature_margins_are_pinned(self):
+        # every margin bit for bit as the per-call Gauss-Legendre rule gave it
+        fns = [power(0.5), power(3), power(6), cosh_profile(1.0), cosh_profile(2.0),
+               softplus_squared(), power(4).negate()]
+        text = "".join(
+            repr([tr.margin for tr in is_bisubharmonic_numeric(fn, d, method="quadrature").triples])
+            for fn in fns
+            for d in (1, 2, 3, 5, 10)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "cb3a24660ac476f24f7b9d56287c6908ba9d32976af3f72b693eab4bd163f9d4"
+
+    def test_quadrature_rule_is_built_once(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg)
+        )
+        moment_compare._angle_rule.cache_clear()
+        for d in (2, 3, 5, 10):  # each check certifies cosh by quadrature
+            gaussian_comparison_check(cosh_profile(1.0), (0.6, 0.8), d, samples=1000)
+        assert calls == [257]
 
     def test_cosh_passes_both_methods(self):
         assert is_bisubharmonic_numeric(cosh_profile(1.0), 3, samples=40_000, seed=2).passed

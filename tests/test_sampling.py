@@ -31,7 +31,7 @@ from spheretail import (
     second_moment_exact,
 )
 from spheretail.report import CoefficientPattern
-from spheretail.sampling import cos_marginal
+from spheretail.sampling import CHUNK_SIZE, cos_marginal, mc_tail_batch
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
@@ -133,6 +133,19 @@ class TestMcTail:
             other = mc_tail(q, 150_000, seed=21, workers=workers)
             assert other.hits == base.hits
             assert other.p_hat == base.p_hat
+
+    def test_batch_matches_one_instance_calls(self):
+        # one pool maps every (instance, chunk) pair; each instance keeps
+        # its own stream, here two chunks with the last one partial
+        instances = [(1, (1.0, 1.0), [0.5, 1.9]), (3, (0.5, 0.8, 1.1), [1.2]), (10, (1.0,), [0.5])]
+        n = CHUNK_SIZE + 1000
+        alone = [mc_tail_multi(d, a, us, n, seed=4) for d, a, us in instances]
+        for workers in (1, 2, 3):
+            assert mc_tail_batch(instances, n, seed=4, workers=workers) == alone
+
+    def test_batch_checks_workers_before_the_pool(self):
+        with pytest.raises(ValueError, match=r"workers must be >= 1, got 0"):
+            mc_tail_batch([(2, (1.0,), [0.5])], 10, seed=0, workers=0)
 
     def test_multi_u_matches_single_u(self):
         us = [0.4, 1.0, 1.7]
