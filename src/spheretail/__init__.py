@@ -35,7 +35,6 @@ from .moment_compare import (
     bc_comparison_check,
     cosh_profile,
     fourth_moment_exact,
-    from_table,
     gaussian_comparison_check,
     gaussian_fourth_moment,
     is_bisubharmonic_numeric,
@@ -59,7 +58,6 @@ from .sampling import (
     clopper_pearson,
     exact_rademacher_tail,
     judge,
-    mc_tail,
     mc_tail_multi,
     sample_sum_norms,
 )

@@ -134,7 +134,6 @@ _KIND_FLAGS = {
     "--quadrature": dict(
         action="store_true", help="use deterministic quadrature instead of Monte Carlo"
     ),
-    "--allow-p2": dict(action="store_true"),
     "--non-strict": dict(action="store_true", help="use >= instead of > at the threshold"),
     "--format": dict(choices=("json",), help="print the result as JSON after its line"),
 }
@@ -217,9 +216,7 @@ def _gauss(args):
 
 @_comparison
 def _kwapien(args):
-    return kwapien_check(
-        args.coeffs, args.d, args.p, args.samples, args.seed, args.alpha, allow_p2=args.allow_p2
-    )
+    return kwapien_check(args.coeffs, args.d, args.p, args.samples, args.seed, args.alpha)
 
 
 # kind -> (handler, required flags, optional flags); a check handler prints
@@ -231,7 +228,7 @@ _CHECK_KINDS = {
     "bc": (_bc, ("--f", "--a-sq", "--b-sq", "--d"), _MC),
     "gauss": (_gauss, ("--f", "--coeffs", "--d"), _MC),
     "lemma2": (_lemma2, ("--xi-coeffs", "--d", "--h"), _MC),
-    "kwapien": (_kwapien, ("--coeffs", "--d", "--p"), (*_MC, "--allow-p2")),
+    "kwapien": (_kwapien, ("--coeffs", "--d", "--p"), _MC),
 }
 _ORACLE_KINDS = {
     "rademacher": (

@@ -52,16 +52,13 @@ class TestFunction:
 
     kind is one of "power" (|x|^p), "cosh" (cosh(rate * x)),
     "softplus_squared" (a smooth even profile built from softplus, useful
-    for exercising the numeric classifiers), or "table" (linear
-    interpolation of tabulated values).  ``sign`` lets the classifier tests
-    negate a profile without a separate kind.
+    for exercising the numeric classifiers).  ``sign`` lets the classifier
+    tests negate a profile without a separate kind.
     """
 
     kind: str
     param: float = 0.0
     sign: float = 1.0
-    xs: tuple[float, ...] = ()
-    ys: tuple[float, ...] = ()
 
     def h(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -73,13 +70,6 @@ class TestFunction:
             sp = np.logaddexp(0.0, x)
             sm = np.logaddexp(0.0, -x)
             v = sp * sp + sm * sm - 2.0 * _LN2 * _LN2
-        elif self.kind == "table":
-            xs = np.asarray(self.xs)
-            if np.any(x < xs[0]) or np.any(x > xs[-1]):
-                raise ValueError(
-                    f"argument outside tabulated domain [{xs[0]}, {xs[-1]}]"
-                )
-            v = np.interp(x, xs, np.asarray(self.ys))
         else:
             raise ValueError(f"unknown test-function kind {self.kind!r}")
         return self.sign * v
@@ -91,8 +81,6 @@ class TestFunction:
             return f"{prefix}power{self.param:g}"
         if self.kind == "cosh":
             return f"{prefix}cosh{self.param:g}"
-        if self.kind == "table":
-            return f"{prefix}table[{len(self.xs)}]"
         return f"{prefix}{self.kind}"
 
     def negate(self) -> "TestFunction":
@@ -113,16 +101,6 @@ def cosh_profile(rate: float = 1.0) -> TestFunction:
 
 def softplus_squared() -> TestFunction:
     return TestFunction("softplus_squared")
-
-
-def from_table(xs: Sequence[float], ys: Sequence[float]) -> TestFunction:
-    xs = tuple(float(v) for v in xs)
-    ys = tuple(float(v) for v in ys)
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("table needs matching x/y sequences of length >= 2")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("table x values must be strictly increasing")
-    return TestFunction("table", xs=xs, ys=ys)
 
 
 def _number(text: str) -> float | None:
@@ -610,7 +588,7 @@ def _certify_comparison_function(fn: TestFunction, d: int) -> None:
         )
 
 
-def _vs_gauss(fn, a, d, t2, samples, seed, alpha, note="") -> ComparisonVerdict:
+def _vs_gauss(fn, a, d, t2, samples, seed, alpha) -> ComparisonVerdict:
     """The verdict on E h(||sum a_i U_i||) <= E h(sqrt(t2 / d) ||Z_d||).
 
     The Gaussian side is exact (``_gauss_side``).  The sphere side is exact
@@ -623,7 +601,7 @@ def _vs_gauss(fn, a, d, t2, samples, seed, alpha, note="") -> ComparisonVerdict:
     if lhs is None:
         [(lhs, lhs_se)] = _mc_means(fn.h, a, d, samples, seed)
         method = "mc-vs-exact"
-    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se, note=note)
+    return _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, method, lhs_se=lhs_se)
 
 
 def bc_comparison_check(
@@ -765,22 +743,16 @@ def kwapien_check(
     samples: int = 200_000,
     seed: int = 0,
     alpha: float = 0.01,
-    allow_p2: bool = False,
 ) -> ComparisonVerdict:
     """Check E ||sum a_i U_i||^p <= E ||a Z_d sqrt(d)||^p for real p >= 3.
 
     The right side is exact, (sum a_i^2)^(p/2) * E||Z_d||^p; the left side
-    is exact for one coefficient and for p = 2 and 4, and Monte Carlo
-    otherwise.  p below 3 is outside the cited comparison and rejected
-    unless ``allow_p2`` explicitly opts into the exploratory p = 2 case.
+    is exact for one coefficient and for p = 4, and Monte Carlo otherwise.
+    p below 3 is outside the cited comparison and rejected.
     """
     d = check_dimension(d)
     a = coeff_array(coeffs)
     p = float(p)
-    if p < 3.0 and not (allow_p2 and p == 2.0):
-        raise ValueError(
-            f"p={p} is outside the p >= 3 range; pass allow_p2=True for the "
-            "exploratory p = 2 case"
-        )
-    note = "exploratory p=2 (holds with slack factor d)" if p == 2.0 else ""
-    return _vs_gauss(power(p), a, d, d * second_moment_exact(a), samples, seed, alpha, note)
+    if not p >= 3.0:
+        raise ValueError(f"p={p} is outside the p >= 3 range of the comparison")
+    return _vs_gauss(power(p), a, d, d * second_moment_exact(a), samples, seed, alpha)

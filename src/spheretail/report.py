@@ -185,12 +185,20 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _reject_repeats(name: str, values, show=str) -> None:
+    """Raise ValueError naming the first of ``values`` that appears twice."""
+    repeated = [v for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{name} value {show(repeated[0])} is repeated; list each value once")
+
+
 def bound_records(
     d: int, pattern: str, coeffs, thresholds, constants, estimates=None
 ) -> list[VerificationRecord]:
     """One record per (threshold, constant), in that order; ``estimates``
     holds the Monte Carlo estimate at each threshold, if any."""
     constants = [get_constant(c) for c in constants]
+    _reject_repeats("constant", constants, lambda c: c.name)
     records = []
     for u, est in zip(thresholds, estimates or [None] * len(thresholds)):
         query = TailQuery(d, tuple(coeffs), u)
@@ -228,10 +236,11 @@ def run_sweep(
         raise ValueError("sweep needs n values for non-explicit patterns")
     if any(n < 1 for n in n_values):
         raise ValueError(f"n must be >= 1, got {min(n_values)}")
-    for name, values in (("d", dimensions), ("n", n_values)):
-        repeated = [v for v, count in Counter(values).items() if count > 1]
-        if repeated:
-            raise ValueError(f"{name} value {repeated[0]} is repeated; list each value once")
+    _reject_repeats("d", dimensions)
+    _reject_repeats("n", n_values)
+    _reject_repeats(
+        "pattern", patterns, lambda p: p.label + (f" {list(p.values)}" if p.values else "")
+    )
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     instances = [
@@ -247,6 +256,7 @@ def run_sweep(
             f"{len(instances)} runs, above the budget of {budget}"
         )
     constants = [get_constant(c) for c in constants]
+    _reject_repeats("constant", constants, lambda c: c.name)
     queries = []
     for d, n, pat in instances:
         coeffs = pat.materialize(n, normalize)

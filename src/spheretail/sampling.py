@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import TailQuery, coeff_array
+from .bounds import coeff_array
 from .gaussian_chi import check_dimension
 
 #: fixed Monte Carlo chunk size; part of the reproducibility contract
@@ -250,27 +250,15 @@ def mc_tail_multi(
     alpha: float = 0.01,
     workers: int = 1,
 ) -> list[McEstimate]:
-    """Estimate P(||sum a_i U_i|| > u) for several thresholds at once.
+    """Seeded Monte Carlo estimates of P(||sum a_i U_i|| > u), strict ">",
+    for several thresholds at once.
 
     All thresholds are counted against the same sample stream, so the entry
-    for each u is exactly what ``mc_tail`` would return for that u alone:
-    the stream depends on (seed, n_samples, coeffs, d) but not on u.  This
-    is the one-instance case of ``mc_tail_batch``.
+    for each u is exactly what a call with that u alone would return: the
+    stream depends on (seed, n_samples, coeffs, d) but not on u.  This is
+    the one-instance case of ``mc_tail_batch``.
     """
     return mc_tail_batch([(d, coeffs, u_values)], n_samples, seed, alpha, workers)[0]
-
-
-def mc_tail(
-    query: TailQuery,
-    n_samples: int,
-    seed: int,
-    alpha: float = 0.01,
-    workers: int = 1,
-) -> McEstimate:
-    """Seeded Monte Carlo estimate of P(||sum a_i U_i|| > u), strict ">"."""
-    return mc_tail_multi(
-        query.d, query.coeffs, [query.u], n_samples, seed, alpha, workers
-    )[0]
 
 
 def _signed_sums(a: np.ndarray) -> np.ndarray:

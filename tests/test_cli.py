@@ -105,6 +105,13 @@ class TestBoundCommand:
         expected = get_constant("c3").value / get_constant("cstar").value
         assert raws[1] / raws[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_repeated_constant_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--d", "2", "--coeffs", "1,1", "--u", "2", "--constants", "c3,c3"
+        )
+        assert code == 2 and out == ""
+        assert "constant value C3 is repeated; list each value once" in err
+
     def test_u_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--d", "2", "--coeffs", "1,1",
@@ -207,6 +214,21 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    def test_kwapien_p2_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "2"
+        )
+        assert code == 2 and out == ""
+        assert "p=2.0 is outside the p >= 3 range" in err
+        assert "allow_p2" not in err
+
+    def test_kwapien_allow_p2_flag_is_gone(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "2", "--allow-p2"
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --allow-p2" in err
+
     def test_lemma2(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "lemma2", "--xi-coeffs", "1,1", "--d", "2",
@@ -226,7 +248,7 @@ KIND_CASES = [
     (["check", "classc", "--f", "power4"], ["--d", "3"]),
     (["check", "bisub", "--f", "power4", "--d", "3"], ["--coeffs", "1,1"]),
     (["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2"],
-     ["--allow-p2"]),
+     ["--p", "4"]),
     (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2"], ["--y-norms", "1"]),
     (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--quadrature"]),
     (["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4"], ["--t-grid", "1:2:3"]),
@@ -317,7 +339,7 @@ INVOCATIONS = [
      "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
     ["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4,power2",
      "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
-    ["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4", "--allow-p2",
+    ["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4",
      "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
     ["constants", "--format", "csv", "--out", "c.csv"],
 ]
@@ -518,6 +540,16 @@ class TestVerifyCommand:
             (["--d", "1", "--budget", "0"], "argument --budget: must be >= 1, got 0"),
             (["--d", "1", "--n", "1,1"], "n value 1 is repeated; list each value once"),
             (["--d", "2,3,2"], "d value 2 is repeated; list each value once"),
+            (["--d", "1", "--patterns", "equal,equal"],
+             "pattern value equal is repeated; list each value once"),
+            (["--d", "1", "--patterns", "geometric,single,geometric:0.5"],
+             "pattern value geometric(0.5) is repeated; list each value once"),
+            (["--d", "1", "--patterns", "explicit:1,2,explicit:1,2.0"],
+             "pattern value explicit [1.0, 2.0] is repeated; list each value once"),
+            (["--d", "1", "--constants", "c3,C3,cstar,c_star"],
+             "constant value C3 is repeated; list each value once"),
+            (["--d", "1", "--constants", "e2,cstar,c_star"],
+             "constant value C_STAR is repeated; list each value once"),
         ],
     )
     def test_bad_setting_fails_before_sampling(self, capsys, monkeypatch, argv, message):
@@ -759,17 +791,14 @@ class TestRecordReproducibility:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        from spheretail import TailQuery, mc_tail
+        from spheretail import mc_tail_multi
         from spheretail.report import parse_pattern
 
         for rec in doc["records"][:3]:
             ratio = rec["pattern"][rec["pattern"].index("(") + 1 : -1]
             coeffs = parse_pattern(f"geometric:{ratio}").materialize(rec["n"])
-            est = mc_tail(
-                TailQuery(rec["d"], tuple(coeffs), rec["u"]),
-                rec["samples"],
-                rec["seed"],
-                rec["alpha"],
+            [est] = mc_tail_multi(
+                rec["d"], tuple(coeffs), [rec["u"]], rec["samples"], rec["seed"], rec["alpha"]
             )
             assert est.hits == rec["hits"]
             assert est.ci_low == rec["ci_low"]

@@ -4,7 +4,8 @@ No module imports a private (single-underscore) name from a sibling, no
 module other than ``__init__`` imports a name it never uses, and no module
 other than ``sampling`` touches a random-number source: every Monte Carlo
 sample comes from its engine.  Every package name the benchmark under
-``perfbench/`` calls or traces exists, so a deletion cannot break it silently.
+``perfbench/`` calls or traces exists, so a deletion cannot break it silently,
+and every name the package exports is used by the package or the benchmark.
 Importing the package does not load ``scipy.stats``, which it does not need.
 """
 
@@ -115,14 +116,19 @@ def test_benchmark_calls_only_existing_names():
     assert not missing, f"perfbench/workloads.py calls missing names: {missing}"
 
 
-def test_benchmark_traces_only_existing_functions():
+def _traced_pairs() -> list[tuple[str, str]]:
+    """The (module, function) pairs of ``TRACED`` in perfbench/spans.py."""
     traced = next(
         node.value
         for node in _tree(BENCH / "spans.py").body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
     )
-    pairs = [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in traced.elts]
+    return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in traced.elts]
+
+
+def test_benchmark_traces_only_existing_functions():
+    pairs = _traced_pairs()
     assert pairs
     missing = [
         f"{home}.{name}"
@@ -130,6 +136,49 @@ def test_benchmark_traces_only_existing_functions():
         if not hasattr(importlib.import_module(f"spheretail.{home}"), name)
     ]
     assert not missing, f"perfbench/spans.py traces missing functions: {missing}"
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names the code in TREE reads, bare or as ``alias.name`` of an imported
+    spheretail module, outside the def or class statement that defines them."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "spheretail"
+    }
+    read = set()
+
+    def visit(node: ast.AST, defining: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining |= {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            name = node.attr
+        if name is not None and name not in defining:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_export_is_used_by_program_code():
+    exported = {
+        alias.asname or alias.name
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    programs = [p for p in MODULES if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    read = set().union(*(_names_read(_tree(path)) for path in programs))
+    read |= {name for _, name in _traced_pairs()}  # spans.py wraps these by name
+    unused = sorted(exported - read)
+    assert not unused, f"spheretail exports names no program code uses: {unused}"
 
 
 def test_import_does_not_load_scipy_stats():

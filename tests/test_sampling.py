@@ -19,13 +19,11 @@ from scipy import stats
 from spheretail import (
     CapacityError,
     RngStream,
-    TailQuery,
     clopper_pearson,
     exact_rademacher_tail,
     fourth_moment_exact,
     gaussian_fourth_moment,
     judge,
-    mc_tail,
     mc_tail_multi,
     sample_sum_norms,
     second_moment_exact,
@@ -121,16 +119,13 @@ class TestRadialChain:
 class TestMcTail:
     def test_single_vector_trivial_cases(self):
         for d in (1, 2, 6):
-            q_low = TailQuery(d, (1.0,), 0.5)
-            q_high = TailQuery(d, (1.0,), 1.5)
-            assert mc_tail(q_low, 1000, seed=0).p_hat == 1.0
-            assert mc_tail(q_high, 1000, seed=0).p_hat == 0.0
+            assert mc_tail_multi(d, (1.0,), [0.5], 1000, seed=0)[0].p_hat == 1.0
+            assert mc_tail_multi(d, (1.0,), [1.5], 1000, seed=0)[0].p_hat == 0.0
 
     def test_worker_count_invariance(self):
-        q = TailQuery(3, (0.5, 0.8, 1.1), 1.2)
-        base = mc_tail(q, 150_000, seed=21, workers=1)
+        [base] = mc_tail_multi(3, (0.5, 0.8, 1.1), [1.2], 150_000, seed=21, workers=1)
         for workers in (2, 4, 7):
-            other = mc_tail(q, 150_000, seed=21, workers=workers)
+            [other] = mc_tail_multi(3, (0.5, 0.8, 1.1), [1.2], 150_000, seed=21, workers=workers)
             assert other.hits == base.hits
             assert other.p_hat == base.p_hat
 
@@ -151,13 +146,13 @@ class TestMcTail:
         us = [0.4, 1.0, 1.7]
         multi = mc_tail_multi(2, (1.0, 1.0), us, 40_000, seed=9)
         for u, est in zip(us, multi):
-            single = mc_tail(TailQuery(2, (1.0, 1.0), u), 40_000, seed=9)
+            [single] = mc_tail_multi(2, (1.0, 1.0), [u], 40_000, seed=9)
             assert single.hits == est.hits
 
     def test_ci_covers_exact_d1(self):
         exact = exact_rademacher_tail([1.0, 1.0], 1.9)
         assert exact == 0.5
-        est = mc_tail(TailQuery(1, (1.0, 1.0), 1.9), 200_000, seed=3, alpha=0.01)
+        [est] = mc_tail_multi(1, (1.0, 1.0), [1.9], 200_000, seed=3, alpha=0.01)
         assert est.ci_low <= exact <= est.ci_high
         assert est.ci_low <= est.p_hat <= est.ci_high
 
@@ -165,28 +160,26 @@ class TestMcTail:
         # Clopper-Pearson at alpha = 0.01 must cover the exact value in at
         # least 99 of these 100 fixed-seed trials
         exact = exact_rademacher_tail([1.0, 1.0], 1.9)
-        q = TailQuery(1, (1.0, 1.0), 1.9)
         covered = 0
         for seed in range(100):
-            est = mc_tail(q, 4000, seed=seed, alpha=0.01)
+            [est] = mc_tail_multi(1, (1.0, 1.0), [1.9], 4000, seed=seed, alpha=0.01)
             covered += est.ci_low <= exact <= est.ci_high
         assert covered >= 99
 
     def test_estimate_fields(self):
-        est = mc_tail(TailQuery(2, (1.0,), 0.5), 1234, seed=77, alpha=0.05)
+        [est] = mc_tail_multi(2, (1.0,), [0.5], 1234, seed=77, alpha=0.05)
         assert est.n_samples == 1234
         assert est.seed == 77
         assert est.alpha == 0.05
         assert est.p_hat == est.hits / est.n_samples
 
     def test_rejects_bad_args(self):
-        q = TailQuery(2, (1.0,), 0.5)
         with pytest.raises(ValueError):
-            mc_tail(q, 0, seed=0)
+            mc_tail_multi(2, (1.0,), [0.5], 0, seed=0)
         with pytest.raises(ValueError):
-            mc_tail(q, 10, seed=0, alpha=1.5)
+            mc_tail_multi(2, (1.0,), [0.5], 10, seed=0, alpha=1.5)
         with pytest.raises(ValueError, match="workers"):
-            mc_tail(q, 10, seed=0, workers=0)
+            mc_tail_multi(2, (1.0,), [0.5], 10, seed=0, workers=0)
 
 
 class TestClopperPearson:
