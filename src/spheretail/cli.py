@@ -62,6 +62,13 @@ def _positive_int(token: str) -> int:
     return value
 
 
+def _alpha(token: str) -> float:
+    value = _number(token)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     return [_number(v) for v in text.split(",") if v.strip() != ""]
 
@@ -127,13 +134,10 @@ _KIND_FLAGS = {
     "--u": dict(type=float),
     "--samples": dict(type=int, default=200_000),
     "--seed": dict(type=int, default=0),
-    "--alpha": dict(type=float, default=0.01),
+    "--alpha": dict(type=_alpha, default=0.01),
     "--grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
     "--t-grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
     "--y-norms": dict(type=_floats, default=[0.0, 1.0, 2.0]),
-    "--quadrature": dict(
-        action="store_true", help="use deterministic quadrature instead of Monte Carlo"
-    ),
     "--non-strict": dict(action="store_true", help="use >= instead of > at the threshold"),
     "--format": dict(choices=("json",), help="print the result as JSON after its line"),
 }
@@ -161,10 +165,7 @@ def _classc(args):
 
 def _bisub(args):
     fn = parse_test_function(args.f)
-    method = "quadrature" if args.quadrature else "mc"
-    report = is_bisubharmonic_numeric(
-        fn, args.d, args.y_norms, args.t_grid, args.samples, args.seed, args.alpha, method
-    )
+    report = is_bisubharmonic_numeric(fn, args.d, args.y_norms, args.t_grid, method="quadrature")
     print(
         f"{fn.label} (d={args.d}): {report.status} "
         f"(min margin={report.min_margin:.6g}, method={report.method})"
@@ -224,7 +225,7 @@ def _kwapien(args):
 _CHECK_KINDS = {
     "schur": (_schur, ("--a-sq", "--b-sq"), ()),
     "classc": (_classc, ("--f",), ("--grid",)),
-    "bisub": (_bisub, ("--f", "--d"), ("--y-norms", "--t-grid", "--quadrature", *_MC)),
+    "bisub": (_bisub, ("--f", "--d"), ("--y-norms", "--t-grid")),
     "bc": (_bc, ("--f", "--a-sq", "--b-sq", "--d"), _MC),
     "gauss": (_gauss, ("--f", "--coeffs", "--d"), _MC),
     "lemma2": (_lemma2, ("--xi-coeffs", "--d", "--h"), _MC),

@@ -165,13 +165,13 @@ def _mc_means(
         raise ValueError("Monte Carlo needs at least 2 samples to estimate its error")
 
     def moments(r: np.ndarray):
-        v = np.atleast_2d(values(r))
+        v = values(r)
         total = v.sum(axis=1)
         dev = v - (total / v.shape[1])[:, None]
         return v.shape[1], total, np.einsum("ij,ij->i", dev, dev)
 
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects the result
-        sizes, totals, m2s = zip(*map_sum_norms(moments, rows, d, samples, seed))
+        sizes, totals, m2s = zip(*map_sum_norms([(moments, rows, d)], samples, seed)[0])
         sizes, totals = np.array(sizes, dtype=float), np.array(totals)
         means = np.sum(totals, axis=0) / samples
         m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
@@ -382,7 +382,9 @@ def is_bisubharmonic_numeric(
     when it sits entirely above, and *inconclusive* otherwise -- wide
     intervals are never reported as a pass.  atol is 1e-9 times the profile
     scale.  method="quadrature" computes the profile deterministically from
-    the cosine marginal instead.
+    the cosine marginal instead; ``check bisub`` and the certification of
+    comparison profiles decide by it, and the Monte Carlo default is the
+    independent reference that the quadrature is cross-checked against.
     """
     d = check_dimension(d)
     ts = np.asarray(
@@ -622,6 +624,7 @@ def bc_comparison_check(
     difference.
     """
     d = check_dimension(d)
+    _z(alpha)  # a bad alpha fails before any sample is drawn
     idx = majorization_failure(pair)
     if idx is not None:
         raise ValueError(
@@ -665,6 +668,7 @@ def gaussian_comparison_check(
     """
     d = check_dimension(d)
     a = coeff_array(coeffs)
+    _z(alpha)  # a bad alpha fails before any sample is drawn
     _certify_comparison_function(fn, d)
     return _vs_gauss(fn, a, d, second_moment_exact(a), samples, seed, alpha)
 
@@ -755,4 +759,5 @@ def kwapien_check(
     p = float(p)
     if not p >= 3.0:
         raise ValueError(f"p={p} is outside the p >= 3 range of the comparison")
+    _z(alpha)  # a bad alpha fails before any sample is drawn
     return _vs_gauss(power(p), a, d, d * second_moment_exact(a), samples, seed, alpha)

@@ -19,9 +19,10 @@ Determinism contract
 Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
-Workers only map chunks to threads (one pool maps every (instance, chunk)
-pair of a ``mc_tail_batch`` call), so the drawn sample stream, the hit
-count, and hence the reported estimate are identical for any degree of
+``map_sum_norms`` is the one chunk map that every sample goes through.
+Workers only map chunks to threads (one pool maps every (task, chunk) pair
+of a ``map_sum_norms`` call), so the drawn sample stream, the hit count,
+and hence the reported estimate are identical for any degree of
 parallelism.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
@@ -148,15 +149,18 @@ def _radial_chain(rows: np.ndarray, d: int, rng: np.random.Generator, size: int)
     return r
 
 
-def _map_chunks(tasks, n_samples: int, seed: int, workers: int) -> list[list]:
+def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[list]:
     """[[fn(norms_k) for each chunk k] for each task (fn, rows, d)].
 
+    ``rows`` is a stack of equal-length coefficient vectors (one vector
+    counts as a stack of one), and norms_k has shape (len(rows), size):
+    every row of a task uses the same C draws (common random numbers).
     Every task draws the same chunk layout, and chunk k of any task draws
     from ``RngStream(seed, k)``.  One pool of ``workers`` threads maps all
     (task, chunk) pairs, so a batch of short runs keeps every thread busy,
     and the results do not depend on ``workers``.
     """
-    tasks = [(fn, np.asarray(rows, dtype=float), check_dimension(d)) for fn, rows, d in tasks]
+    tasks = [(fn, np.array(a, dtype=float, ndmin=2), check_dimension(d)) for fn, a, d in tasks]
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
@@ -167,8 +171,7 @@ def _map_chunks(tasks, n_samples: int, seed: int, workers: int) -> list[list]:
 
     def chunk(job: tuple[int, int]):
         (fn, a, d), k = tasks[job[0]], job[1]
-        r = _radial_chain(np.atleast_2d(a), d, RngStream(seed, k).generator(), sizes[k])
-        return fn(r if a.ndim == 2 else r[0])
+        return fn(_radial_chain(a, d, RngStream(seed, k).generator(), sizes[k]))
 
     if workers == 1:
         results = [chunk(job) for job in jobs]
@@ -179,25 +182,11 @@ def _map_chunks(tasks, n_samples: int, seed: int, workers: int) -> list[list]:
     return [results[i * m : (i + 1) * m] for i in range(len(tasks))]
 
 
-def map_sum_norms(
-    fn: Callable[[np.ndarray], object], rows, d, n_samples: int, seed: int, workers: int = 1
-) -> list:
-    """[fn(norms_k) for each chunk k], in chunk order.
-
-    ``rows`` is one coefficient vector, giving norms_k of shape (size,), or
-    a stack of equal-length vectors, giving norms_k of shape
-    (len(rows), size) in which every row uses the same C draws (common
-    random numbers).  Chunk k draws from ``RngStream(seed, k)``, so the
-    result does not depend on ``workers``.  This is the one-task case of
-    the chunk dispatch that ``mc_tail_batch`` uses.
-    """
-    return _map_chunks([(fn, rows, d)], n_samples, seed, workers)[0]
-
-
 def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> np.ndarray:
     """n_samples draws of ||a_1 U_1 + ... + a_n U_n||, a fixed function of
     (coeffs, d, n_samples, seed)."""
-    return np.concatenate(map_sum_norms(lambda r: r, coeff_array(coeffs), d, n_samples, seed))
+    [chunks] = map_sum_norms([(lambda r: r[0], coeff_array(coeffs), d)], n_samples, seed)
+    return np.concatenate(chunks)
 
 
 def _hit_counter(us: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -231,7 +220,7 @@ def mc_tail_batch(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     out = []
-    for chunk_hits in _map_chunks(tasks, n_samples, seed, workers):
+    for chunk_hits in map_sum_norms(tasks, n_samples, seed, workers):
         hits = np.sum(chunk_hits, axis=0)
         lows, highs = clopper_pearson(hits, n_samples, alpha)
         out.append([

@@ -10,9 +10,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from spheretail import BoundResult, McEstimate, VerificationRecord, get_constant
+from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
+from spheretail import cosh_profile, is_bisubharmonic_numeric
 from spheretail import __version__, report
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
@@ -199,10 +201,56 @@ class TestCheckCommand:
         assert doc["lhs"] == 1.0 and doc["rhs"] == 1.5
 
     def test_bisub_fail_exit_code(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "bisub", "--f", "neg_power4", "--d", "3", "--quadrature"
-        )
+        code, out, _ = run_cli(capsys, "check", "bisub", "--f", "neg_power4", "--d", "3")
         assert code == 1 and "fail" in out
+
+    def test_bisub_is_decided_by_quadrature(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "bisub", "--f", "cosh", "--d", "5", "--y-norms", "0,1.5",
+            "--t-grid", "0.5:3:6", "--format", "json",
+        )
+        report = is_bisubharmonic_numeric(
+            cosh_profile(1.0), 5, [0.0, 1.5], np.linspace(0.5, 3.0, 6), method="quadrature"
+        )
+        assert code == 0
+        assert json.loads(out[out.index("{") :]) == {
+            "status": report.status, "min_margin": report.min_margin, "method": "quadrature"
+        }
+
+    @pytest.mark.parametrize(
+        "flag", [["--quadrature"], ["--samples", "5"], ["--seed", "1"], ["--alpha", "0.05"]]
+    )
+    def test_bisub_takes_no_sampling_flag(self, capsys, flag):
+        assert _declared_flags(("check", "bisub")) == {"f", "d", "y_norms", "t_grid", "format"}
+        code, out, err = run_cli(capsys, "check", "bisub", "--f", "power4", "--d", "3", *flag)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "bc", "--f", "cosh", "--a-sq", "0.5,0.3,0.2", "--b-sq", "0.4,0.35,0.25",
+             "--d", "3"],
+            ["check", "gauss", "--f", "cosh", "--coeffs", "1,1", "--d", "3"],
+            ["check", "kwapien", "--coeffs", "0.6,0.8", "--d", "3", "--p", "3"],
+            ["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+    def test_bad_alpha_fails_before_sampling(self, capsys, monkeypatch, argv, alpha):
+        chunks = []
+        generator = RngStream.generator
+        monkeypatch.setattr(
+            RngStream, "generator", lambda self: chunks.append(self) or generator(self)
+        )
+        assert run_cli(capsys, *argv, "--samples", "1000")[0] == 0
+        assert chunks  # the valid run samples
+        chunks.clear()
+        code, out, err = run_cli(capsys, *argv, "--samples", "1000", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert f"argument --alpha: alpha must lie in (0, 1), got {float(alpha)}" in err
+        assert chunks == []
 
     def test_kwapien(self, capsys):
         code, out, _ = run_cli(
@@ -246,11 +294,11 @@ class TestCheckCommand:
 KIND_CASES = [
     (["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5"], ["--samples", "5"]),
     (["check", "classc", "--f", "power4"], ["--d", "3"]),
-    (["check", "bisub", "--f", "power4", "--d", "3"], ["--coeffs", "1,1"]),
+    (["check", "bisub", "--f", "power4", "--d", "3"], ["--samples", "5"]),
     (["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2"],
      ["--p", "4"]),
     (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2"], ["--y-norms", "1"]),
-    (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--quadrature"]),
+    (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--y-norms", "1"]),
     (["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4"], ["--t-grid", "1:2:3"]),
     (["oracle", "rademacher", "--coeffs", "1,1", "--u", "1.9"], ["--d", "3"]),
     (["oracle", "m2", "--coeffs", "3,4"], ["--u", "1"]),
@@ -332,7 +380,7 @@ INVOCATIONS = [
     ["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--format", "json"],
     ["check", "classc", "--f", "power4", "--grid=-3:3:61", "--format", "json"],
     ["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "0,1", "--t-grid", "0.5:2:4",
-     "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--quadrature", "--format", "json"],
+     "--format", "json"],
     ["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2",
      "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
     ["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2",
@@ -671,7 +719,8 @@ class TestInputErrors:
                 "alpha must lie in (0, 1), got 0.0",
             ),
             (
-                ["check", "bisub", "--f", "power4", "--d", "3", "--alpha", "1.5"],
+                ["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "3",
+                 "--alpha", "1.5"],
                 "alpha must lie in (0, 1), got 1.5",
             ),
             # one sample has no error estimate, so no verdict may rest on it
@@ -722,7 +771,7 @@ class TestInputErrors:
              "coefficients must all be finite"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "nan"],
              "centre norms must be finite, got [nan]"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf", "--quadrature"],
+            (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf"],
              "centre norms must be finite, got [inf]"),
             # a bad number is named, with the flag it was given to
             (["bound", "--d", "2", "--coeffs", "1,x", "--u", "1"],
@@ -744,10 +793,9 @@ class TestInputErrors:
              "E power4(||sum a_i U_i||) overflows double precision"),
             (["check", "classc", "--f", "cosh", "--grid=-1000:1000:81"],
              "cosh1 on the grid overflows double precision"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3"],
+            (["check", "bc", "--f", "cosh", "--a-sq", "6e5,4e5", "--b-sq", "5e5,5e5", "--d", "3"],
              "a Monte Carlo mean or its error overflows double precision"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3",
-              "--quadrature"],
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3"],
              "E power4(||y + U sqrt t||) on the t grid overflows double precision"),
             # sweep settings with no dimension or no n
             (["verify", "--d", ""], "sweep needs at least one dimension and one pattern"),
@@ -768,7 +816,7 @@ class TestInputErrors:
     def test_rejected_without_warning(self, capsys, argv, message):
         # only the Monte Carlo commands and check kinds take --samples
         mc_command = argv[0] == "verify" or argv[:2] in (
-            ["check", kind] for kind in ("bisub", "bc", "gauss", "lemma2", "kwapien")
+            ["check", kind] for kind in ("bc", "gauss", "lemma2", "kwapien")
         )
         samples = ["--samples", "1000"] if mc_command and "--samples" not in argv else []
         with warnings.catch_warnings(record=True) as caught:

@@ -4,13 +4,15 @@ No module imports a private (single-underscore) name from a sibling, no
 module other than ``__init__`` imports a name it never uses, and no module
 other than ``sampling`` touches a random-number source: every Monte Carlo
 sample comes from its engine.  Every package name the benchmark under
-``perfbench/`` calls or traces exists, so a deletion cannot break it silently,
+``perfbench/`` calls or traces exists, and every call it makes binds to the
+signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
 Importing the package does not load ``scipy.stats``, which it does not need.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -94,16 +96,21 @@ def test_only_sampling_draws_random_numbers(path):
     assert not uses, f"{path.name} draws random numbers outside the engine: {uses}"
 
 
-def test_benchmark_calls_only_existing_names():
-    tree = _tree(BENCH / "workloads.py")
-    # local alias -> module, e.g. st -> spheretail, st_cli -> spheretail.cli
-    aliases = {
+def _spheretail_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local alias -> module for each spheretail import in TREE, e.g.
+    st -> spheretail, st_cli -> spheretail.cli."""
+    return {
         alias.asname or alias.name: alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         for alias in node.names
         if alias.name.split(".")[0] == "spheretail"
     }
+
+
+def test_benchmark_calls_only_existing_names():
+    tree = _tree(BENCH / "workloads.py")
+    aliases = _spheretail_aliases(tree)
     assert "spheretail" in aliases.values()
     missing = sorted(
         f"line {node.lineno}: {aliases[node.value.id]}.{node.attr}"
@@ -114,6 +121,30 @@ def test_benchmark_calls_only_existing_names():
         and not hasattr(importlib.import_module(aliases[node.value.id]), node.attr)
     )
     assert not missing, f"perfbench/workloads.py calls missing names: {missing}"
+
+
+def test_benchmark_calls_bind_to_signatures():
+    # deleting a parameter that a benchmark call passes must fail here, not in the benchmark
+    tree = _tree(BENCH / "workloads.py")
+    aliases = _spheretail_aliases(tree)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) in aliases
+    ]
+    assert calls
+    unbound = []
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+        assert all(k.arg is not None for k in call.keywords), ast.unparse(call)
+        target = getattr(importlib.import_module(aliases[call.func.value.id]), call.func.attr)
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {ast.unparse(call)}: {exc}")
+    assert not unbound, f"perfbench/workloads.py calls that do not bind: {unbound}"
 
 
 def _traced_pairs() -> list[tuple[str, str]]:
@@ -141,13 +172,7 @@ def test_benchmark_traces_only_existing_functions():
 def _names_read(tree: ast.Module) -> set[str]:
     """Names the code in TREE reads, bare or as ``alias.name`` of an imported
     spheretail module, outside the def or class statement that defines them."""
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name.split(".")[0] == "spheretail"
-    }
+    aliases = _spheretail_aliases(tree)
     read = set()
 
     def visit(node: ast.AST, defining: frozenset) -> None:

@@ -206,6 +206,25 @@ class TestIsBisubharmonic:
         report = is_bisubharmonic_numeric(power(1), 3, samples=30, seed=0, **kwargs)
         assert report.status != "pass"
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize(
+        "token",
+        ["power0.5", "power1", "power1.5", "power2", "power2.5", "power3", "power4", "power5",
+         "power6", "cosh", "cosh2", "softplus_squared", "-power4", "-cosh", "-power2"],
+    )
+    def test_quadrature_status_matches_mc(self, token, d):
+        # the Monte Carlo estimate is the cross-check of the quadrature that
+        # decides `check bisub`
+        fn = parse_test_function(token)
+        mc = is_bisubharmonic_numeric(fn, d, seed=0)
+        assert is_bisubharmonic_numeric(fn, d, method="quadrature").status == mc.status
+
+    def test_mc_overflow_rejected(self):
+        with pytest.raises(ValueError, match="a Monte Carlo mean or its error overflows"):
+            is_bisubharmonic_numeric(
+                power(4), 3, t_grid=np.linspace(1e-300, 1e300, 3), samples=1000, method="mc"
+            )
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             is_bisubharmonic_numeric(power(2), 2, t_grid=[1.0, 2.0])
@@ -451,6 +470,32 @@ class TestKwapien:
         assert verdict.lhs_se < 1e-18
 
 
+# one Monte Carlo call of each comparison check, as a function of alpha
+MC_CHECKS = {
+    "bc": lambda alpha: bc_comparison_check(
+        cosh_profile(1.0), MajorizationPair((0.5, 0.3, 0.2), (0.4, 0.35, 0.25)), 3,
+        samples=1000, alpha=alpha,
+    ),
+    "gauss": lambda alpha: gaussian_comparison_check(
+        cosh_profile(1.0), (0.6, 0.8), 3, samples=1000, alpha=alpha
+    ),
+    "kwapien": lambda alpha: kwapien_check((0.6, 0.8), 3, 3, samples=1000, alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("check", MC_CHECKS.values(), ids=MC_CHECKS.keys())
+@pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+def test_bad_alpha_fails_before_sampling(monkeypatch, check, alpha):
+    chunks = []
+    generator = RngStream.generator
+    monkeypatch.setattr(
+        RngStream, "generator", lambda self: chunks.append(self) or generator(self)
+    )
+    assert check(0.05).method in ("mc-crn", "mc-vs-exact") and chunks
+    chunks.clear()
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        check(alpha)
+    assert chunks == []
 
 
 class TestMomentOracleProperties:
