@@ -36,13 +36,26 @@ from .gaussian_chi import check_dimension, chi_tail, phi_cdf, phi_tail
 _SQRT2 = math.sqrt(2.0)
 
 
-def sum_sq(entries: Sequence[float]) -> float:
-    """a_1^2 + ... + a_n^2, correctly rounded (math.fsum), so it depends on
-    neither the order nor the signs of the entries; inf on overflow."""
+def fsum_inf(values) -> float:
+    """The sum of VALUES, correctly rounded (math.fsum); inf on overflow."""
     try:
-        return math.fsum([v * v for v in np.asarray(entries, dtype=float).tolist()])
+        return math.fsum(values)
     except OverflowError:  # fsum raises on an intermediate overflow
         return math.inf
+
+
+def sum_sq(entries: Sequence[float]) -> float:
+    """a_1^2 + ... + a_n^2 by ``fsum_inf``, so it depends on neither the order
+    nor the signs of the entries; inf on overflow."""
+    return fsum_inf([v * v for v in np.asarray(entries, dtype=float).tolist()])
+
+
+def check_threshold(u) -> float:
+    """Validate a threshold: a finite real, returned as float."""
+    u = float(u)
+    if not math.isfinite(u):
+        raise ValueError(f"threshold must be finite, got {u!r}")
+    return u
 
 
 def coeff_array(entries: Sequence[float]) -> np.ndarray:
@@ -125,10 +138,7 @@ class TailQuery:
         a = coeff_array(self.coeffs)
         object.__setattr__(self, "d", check_dimension(self.d))
         object.__setattr__(self, "coeffs", tuple(float(v) for v in a))
-        u = float(self.u)
-        if not math.isfinite(u):
-            raise ValueError(f"threshold must be finite, got {u!r}")
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", check_threshold(self.u))
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,7 @@ def corollary_bound(
         raise ValueError("radius bounds must all be positive")
     if variant not in ("per_dimension", "as_printed"):
         raise ValueError(f"unknown corollary variant {variant!r}")
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"threshold must be finite, got {u!r}")
+    u = check_threshold(u)
     total = sum_sq(b)
     return _bound(constant, math.sqrt(total / d if variant == "per_dimension" else total), d, u)
 

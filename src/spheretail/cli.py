@@ -43,7 +43,7 @@ from .report import (
     records_to_json,
     run_sweep,
 )
-from .sampling import CapacityError, exact_rademacher_tail, sample_sum_norms
+from .sampling import CapacityError, check_alpha, exact_rademacher_tail, sample_sum_norms
 
 
 def _number(token: str, kind: type = float):
@@ -63,10 +63,10 @@ def _positive_int(token: str) -> int:
 
 
 def _alpha(token: str) -> float:
-    value = _number(token)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
-    return value
+    try:
+        return check_alpha(_number(token))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _floats(text: str) -> list[float]:
@@ -110,7 +110,7 @@ def _write_report(args, records, seed: int = 0, summary=None) -> None:
 
 
 def _add_output_flags(p: argparse.ArgumentParser, stamped: bool = True) -> None:
-    p.set_defaults(parser=p)  # so main can reject --out without --format in p's usage
+    p.set_defaults(parser=p)  # so main reports p's own errors under p's usage
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", default=None, help="write the report here (needs --format)")
     if stamped:
@@ -248,7 +248,7 @@ def _add_kinds(p: argparse.ArgumentParser, kinds: dict, handler, common=()) -> N
     kind_parsers = p.add_subparsers(dest="which", metavar="KIND", required=True)
     for kind, (run, required, optional) in kinds.items():
         p_kind = kind_parsers.add_parser(kind, allow_abbrev=False)
-        p_kind.set_defaults(func=handler, run=run)
+        p_kind.set_defaults(func=handler, run=run, parser=p_kind)
         for flag in (*required, *optional, *common):
             p_kind.add_argument(flag, required=flag in required, **_KIND_FLAGS[flag])
 
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     thresholds.add_argument("--u-linear", type=_range_spec, metavar="LO:HI:COUNT")
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--alpha", type=float, default=0.01)
+    p_verify.add_argument("--alpha", type=_alpha, default=0.01)
     p_verify.add_argument("--constants", type=str, default="c3")
     p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_verify.add_argument("--workers", type=int, default=1)
@@ -396,7 +396,9 @@ def cmd_constants(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "out", None) and args.format is None:
         args.parser.error("argument --out: needs --format")
     try:

@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -190,6 +190,8 @@ def chi_expectation(d, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         upper += 2.0
     else:
         raise ValueError("could not locate a decayed upper integration limit")
+    from scipy import integrate  # here, so importing the package does not load it
+
     value, _ = integrate.quad(integrand, 0.0, upper, limit=200)
     return value
 

@@ -33,9 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import coeff_array, sum_sq
+from .bounds import coeff_array, fsum_inf, sum_sq
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
-from .sampling import judge, map_sum_norms
+from .sampling import check_alpha, judge, map_sum_norms
 
 _LN2 = math.log(2.0)
 
@@ -138,9 +138,7 @@ def _is_power(fn: TestFunction, p: float) -> bool:
 
 
 def _z(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(special.ndtri(1.0 - alpha / 2.0))
+    return float(special.ndtri(1.0 - check_alpha(alpha) / 2.0))
 
 
 def _finite(value, what: str):
@@ -449,11 +447,7 @@ class MajorizationPair:
         if np.any(a < 0) or np.any(b < 0):
             raise ValueError("squared coefficients must be nonnegative")
         for name, sq in (("a_sq", a), ("b_sq", b)):
-            try:
-                total = math.fsum(sq.tolist())
-            except OverflowError:  # fsum raises on an intermediate overflow
-                total = math.inf
-            _finite(total, f"the sum of {name}")
+            _finite(fsum_inf(sq.tolist()), f"the sum of {name}")
         object.__setattr__(self, "a_sq", tuple(float(v) for v in a))
         object.__setattr__(self, "b_sq", tuple(float(v) for v in b))
 
@@ -482,11 +476,11 @@ def _moments(sq: Sequence[float], d: int) -> tuple[float, float]:
 
     Cross terms vanish in the second moment; expanding (||S||^2)^2 with
     E (U_i . U_j)^2 = 1/d for i != j gives sum a_i^4 + (2 + 4/d) sum_{i<j}
-    a_i^2 a_j^2.  Both sums are correctly rounded (math.fsum), so neither
-    moment depends on the order or the signs of the coefficients.
+    a_i^2 a_j^2.  Both sums are ``fsum_inf``, so neither moment depends on
+    the order or the signs of the coefficients, and overflow gives inf or nan.
     """
-    t2 = math.fsum(sq)
-    t4 = math.fsum(v * v for v in sq)
+    t2 = fsum_inf(sq)
+    t4 = fsum_inf(v * v for v in sq)
     return t2, t4 + (2.0 + 4.0 / d) * 0.5 * (t2 * t2 - t4)
 
 

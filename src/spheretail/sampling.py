@@ -12,7 +12,11 @@ where C is one coordinate of a uniform unit vector in R^d, drawn
 independently of the past (``cos_marginal`` holds its law).  The chain
 starts at R = |a_1| without a draw, so a sample costs O(n) time in any
 dimension.  This form of the update gives |R +- a| exactly for d = 1 and
-keeps a one-coefficient norm exactly |a_1|.
+keeps a one-coefficient norm exactly |a_1|.  ``map_sum_norms`` runs it on
+the coefficients over a power of two that brings the largest below 1 and
+scales the norms back, so no squared partial norm overflows; power-of-two
+scaling is exact unless an intermediate is subnormal, so every other norm
+is bit for bit the unscaled chain's.
 
 Determinism contract
 --------------------
@@ -40,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import coeff_array
+from .bounds import check_threshold, coeff_array
 from .gaussian_chi import check_dimension
 
 #: fixed Monte Carlo chunk size; part of the reproducibility contract
@@ -84,6 +88,13 @@ class McEstimate:
     alpha: float
 
 
+def check_alpha(alpha: float) -> float:
+    """Validate a significance level: alpha in (0, 1), returned unchanged."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 def clopper_pearson(hits, n: int, alpha: float = 0.01):
     """Exact two-sided binomial confidence interval at level 1 - alpha.
 
@@ -93,8 +104,7 @@ def clopper_pearson(hits, n: int, alpha: float = 0.01):
     h = np.asarray(hits)
     if np.any(h < 0) or np.any(h > n):
         raise ValueError(f"need 0 <= hits <= n, got hits={hits}, n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     # beta quantiles; the laws are undefined at hits = 0 and hits = n, where
     # the limits are 0 and 1, so clamped parameters keep them out of the call
     q = alpha / 2.0
@@ -161,6 +171,9 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     and the results do not depend on ``workers``.
     """
     tasks = [(fn, np.array(a, dtype=float, ndmin=2), check_dimension(d)) for fn, a, d in tasks]
+    # the chain runs on rows / s, s = 2^e > max |rows| (see "Radial chain")
+    scales = [np.ldexp(1.0, np.frexp(np.abs(a).max())[1]) for _, a, _ in tasks]
+    tasks = [(fn, a / s, d, s) for (fn, a, d), s in zip(tasks, scales)]
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
@@ -170,8 +183,10 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     jobs = [(i, k) for i in range(len(tasks)) for k in range(len(sizes))]
 
     def chunk(job: tuple[int, int]):
-        (fn, a, d), k = tasks[job[0]], job[1]
-        return fn(_radial_chain(a, d, RngStream(seed, k).generator(), sizes[k]))
+        (fn, a, d, s), k = tasks[job[0]], job[1]
+        r = _radial_chain(a, d, RngStream(seed, k).generator(), sizes[k])
+        r *= s
+        return fn(r)
 
     if workers == 1:
         results = [chunk(job) for job in jobs]
@@ -217,8 +232,7 @@ def mc_tail_batch(
         if us.ndim != 1 or us.size < 1 or not np.all(np.isfinite(us)):
             raise ValueError("u_values must be a nonempty sequence of finite reals")
         tasks.append((_hit_counter(us), a, d))
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     out = []
     for chunk_hits in map_sum_norms(tasks, n_samples, seed, workers):
         hits = np.sum(chunk_hits, axis=0)
@@ -273,9 +287,7 @@ def exact_rademacher_tail(coeffs: Sequence[float], u: float, strict: bool = True
         raise CapacityError(
             f"sign-pattern enumeration supports n <= {ENUMERATION_MAX}, got n = {n}"
         )
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"threshold must be finite, got {u!r}")
+    u = check_threshold(u)
     ratios = [v.as_integer_ratio() for v in (*a.tolist(), u)]
     grid = max(q for _, q in ratios)
     *ints, big_u = (p * (grid // q) for p, q in ratios)

@@ -234,8 +234,9 @@ class TestCheckCommand:
             ["check", "gauss", "--f", "cosh", "--coeffs", "1,1", "--d", "3"],
             ["check", "kwapien", "--coeffs", "0.6,0.8", "--d", "3", "--p", "3"],
             ["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"],
+            ["verify", "--d", "2"],
         ],
-        ids=lambda argv: argv[1],
+        ids=["bc", "gauss", "kwapien", "lemma2", "verify"],
     )
     @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
     def test_bad_alpha_fails_before_sampling(self, capsys, monkeypatch, argv, alpha):
@@ -325,7 +326,10 @@ class TestKindFlags:
     def test_unread_flag_rejected(self, capsys, argv, unread):
         code, out, err = run_cli(capsys, *argv, *unread)
         assert code == 2 and out == ""
-        assert f"unrecognized arguments: {' '.join(unread)}" in err
+        # under the kind's usage, which lists the flags the kind does take
+        prog = f"spheretail {argv[0]} {argv[1]}"
+        assert err.startswith(f"usage: {prog} [-h] ")
+        assert f"{prog}: error: unrecognized arguments: {' '.join(unread)}" in err
 
     @pytest.mark.parametrize("argv, unread", KIND_CASES, ids=KIND_IDS)
     def test_missing_required_flag_named(self, capsys, argv, unread):
@@ -448,15 +452,15 @@ class TestEveryFlagIsRead:
                 reads.add(name)
                 return super().__getattribute__(name)
 
-        parse_args = argparse.ArgumentParser.parse_args
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def parse_into_log(self, args=None, namespace=None):
-            parsed = parse_args(self, args, ReadLog())
+            parsed = parse_known_args(self, args, ReadLog())
             reads.clear()  # count what main and the handler read, not argparse
             return parsed
 
         with monkeypatch.context() as patch:
-            patch.setattr(argparse.ArgumentParser, "parse_args", parse_into_log)
+            patch.setattr(argparse.ArgumentParser, "parse_known_args", parse_into_log)
             code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         return reads
@@ -686,6 +690,18 @@ class TestVerifyCommand:
         params = inspect.signature(run_sweep).parameters.values()
         assert from_cli == {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
+    def test_partial_norms_past_the_square_root_of_the_largest_double(self, capsys):
+        # sum a_i^2 = 1.6e308 is finite, but the partial norms reach 4e154,
+        # whose square overflows; the bound holds, so no record may be VIOLATED
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                capsys, "verify", "--d", "1", "--patterns", "explicit:" + ",".join(["4e153"] * 10),
+                "--no-normalize", "--samples", "20000",
+            )
+        assert code == 0 and "violated=0" in out
+        assert caught == []
+
     def test_explicit_pattern_with_commas(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--d", "1", "--n", "2",
@@ -811,6 +827,12 @@ class TestInputErrors:
             (["check", "bc", "--f", "power2", "--a-sq", "1e308,1e308", "--b-sq", "1e308,1e308",
               "--d", "3"],
              "the sum of a_sq overflows double precision"),
+            # a fourth moment whose terms are finite but sum past the largest double
+            (["oracle", "m4", "--coeffs", "1e77,1e77", "--d", "2"],
+             "E ||sum a_i U_i||^4 overflows double precision"),
+            (["check", "bc", "--f", "power4", "--a-sq", "1e154,1e154", "--b-sq", "1e154,1e154",
+              "--d", "2"],
+             "E power4(||sum a_i U_i||) overflows double precision"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):

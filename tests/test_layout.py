@@ -7,7 +7,10 @@ sample comes from its engine.  Every package name the benchmark under
 ``perfbench/`` calls or traces exists, and every call it makes binds to the
 signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
-Importing the package does not load ``scipy.stats``, which it does not need.
+Each rule that several modules share has one owner: only ``bounds.fsum_inf``
+calls ``math.fsum``, and the messages of the alpha and threshold checks are
+each written once.  Importing the package loads neither ``scipy.stats``,
+which it does not need, nor ``scipy.integrate``, which one function needs.
 """
 
 import ast
@@ -206,9 +209,47 @@ def test_every_export_is_used_by_program_code():
     assert not unused, f"spheretail exports names no program code uses: {unused}"
 
 
+def _callers_of(name: str) -> list[tuple[str, str | None]]:
+    """(module file, innermost enclosing def or None) of each call of NAME,
+    bare or as an attribute, in the package."""
+    callers = []
+
+    def visit(node: ast.AST, path: Path, owner: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            callers.append((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in MODULES:
+        visit(_tree(path), path, None)
+    return callers
+
+
+def test_only_the_sum_owner_calls_fsum():
+    # every other correctly rounded sum goes through fsum_inf, which maps an
+    # intermediate overflow to inf instead of raising OverflowError
+    assert _callers_of("fsum") == [("bounds.py", "fsum_inf")]
+
+
+@pytest.mark.parametrize("message", ["alpha must lie in (0, 1)", "threshold must be finite"])
+def test_each_input_rule_is_written_once(message):
+    found = [
+        f"{path.name} line {node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
+    ]
+    assert len(found) == 1, f"{message!r} is written at {found}"
+
+
 def test_import_does_not_load_scipy_stats():
-    # a fresh interpreter: this one may have imported scipy.stats already
-    code = "import sys, spheretail; print('scipy.stats' in sys.modules)"
+    # a fresh interpreter: this one may have imported either module already;
+    # scipy.integrate is loaded by chi_expectation on first use
+    code = "import sys, spheretail; print({'scipy.stats', 'scipy.integrate'} & set(sys.modules))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -217,4 +258,4 @@ def test_import_does_not_load_scipy_stats():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "set()"

@@ -115,6 +115,19 @@ class TestRadialChain:
             assert np.all(sample_sum_norms([-0.7], d, 5000, seed=d) == 0.7)
             assert np.all(sample_sum_norms(single, d, 5000, seed=d) == 1.0)
 
+    def test_norms_whose_square_overflows(self):
+        # partial norms up to 10 * 2^510 square past the largest double; a
+        # power-of-two scale is exact, so they are 2^510 times the unit norms
+        big = 2.0**510
+        for d in (1, 2, 3, 5):
+            unit = sample_sum_norms([1.0] * 10, d, 5000, seed=d)
+            assert np.array_equal(sample_sum_norms([big] * 10, d, 5000, seed=d), big * unit)
+
+    def test_no_hits_above_the_largest_norm(self):
+        # ||sum a_i U_i|| <= sum |a_i| = 4e154
+        [est] = mc_tail_multi(1, [4e153] * 10, [4.1e154], 20000, 0)
+        assert est.hits == 0
+
 
 class TestMcTail:
     def test_single_vector_trivial_cases(self):
@@ -325,6 +338,12 @@ class TestMomentOracles:
         assert fourth_moment_exact([1.0, 1.0], 2) == 6.0
         # large-d limit: 2 + 2 = 4 for two unit coefficients
         assert fourth_moment_exact([1.0, 1.0], 10**9) == pytest.approx(4.0, rel=1e-8)
+
+    def test_fourth_moment_overflow_is_an_error(self):
+        # the squares are finite, the sum of their squares is not
+        message = r"E \|\|sum a_i U_i\|\|\^4 overflows double precision"
+        with pytest.raises(ValueError, match=message):
+            fourth_moment_exact((1e77, 1e77), 2)
 
     def test_gaussian_fourth_moment_examples(self):
         assert gaussian_fourth_moment([1.0], 1) == 3.0
