@@ -156,10 +156,22 @@ def scale(coeffs: Sequence[float], d) -> float:
     return math.sqrt(sum_sq(coeff_array(coeffs)) / check_dimension(d))
 
 
+def comparator_tail(d: int, u: float, s: float) -> float:
+    """P(s ||Z_d|| > u) = chi_tail(d, u / s) for a finite u and a scale s > 0.
+
+    A ratio that overflows lies beyond every finite chi threshold, so its
+    tail is 0 (and 1 when it overflows below zero).
+    """
+    ratio = check_threshold(u) / s
+    if math.isinf(ratio):
+        return 0.0 if ratio > 0.0 else 1.0
+    return chi_tail(d, ratio)
+
+
 def _bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
     """c * P(s ||Z_d|| > u), raw and capped at 1."""
     c = get_constant(constant)
-    raw = c.value * chi_tail(d, u / s)
+    raw = c.value * comparator_tail(d, u, s)
     return BoundResult(constant=c, scale=s, raw=raw, capped=min(raw, 1.0))
 
 

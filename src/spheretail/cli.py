@@ -396,9 +396,13 @@ def cmd_constants(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # a leftover before the command word is the root's, the rest are the leaf's
+        root = set(unknown) & set(argv[: argv.index(args.command)])
+        (parser if root else args.parser).error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "out", None) and args.format is None:
         args.parser.error("argument --out: needs --format")
     try:

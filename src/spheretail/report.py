@@ -19,8 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundResult, TailQuery, coeff_array, get_constant, scale, sum_sq, theorem_bound
-from .gaussian_chi import chi_tail, chi_tail_inverse
+from .bounds import (
+    BoundResult,
+    TailQuery,
+    coeff_array,
+    comparator_tail,
+    get_constant,
+    scale,
+    sum_sq,
+    theorem_bound,
+)
+from .gaussian_chi import chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
 
 #: frozen CSV schema, one row per (query, constant)
@@ -133,7 +142,7 @@ class VerificationRecord:
 
     def __post_init__(self):
         if self.estimate is not None:
-            tail = chi_tail(self.d, self.u / self.bound.scale)
+            tail = comparator_tail(self.d, self.u, self.bound.scale)
             ratio = self.estimate.ci_high / tail if tail > 0.0 else math.inf
             object.__setattr__(self, "ratio_upper", ratio)
             raw, est = self.bound.raw, self.estimate

@@ -24,9 +24,12 @@ Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
 ``map_sum_norms`` is the one chunk map that every sample goes through.
-Workers only map chunks to threads (one pool maps every (task, chunk) pair
-of a ``map_sum_norms`` call), so the drawn sample stream, the hit count,
-and hence the reported estimate are identical for any degree of
+Tasks of one (d, n) draw identical C columns, so a call draws them once
+per chunk and runs those tasks as one stacked chain, each row at its own
+task's scale; every norm equals the one-task call's.
+Workers only map chunks to threads (one pool maps every (group, chunk)
+pair of a ``map_sum_norms`` call), so the drawn sample stream, the hit
+count, and hence the reported estimate are identical for any degree of
 parallelism.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
@@ -36,6 +39,7 @@ probabilities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -166,35 +170,53 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     counts as a stack of one), and norms_k has shape (len(rows), size):
     every row of a task uses the same C draws (common random numbers).
     Every task draws the same chunk layout, and chunk k of any task draws
-    from ``RngStream(seed, k)``.  One pool of ``workers`` threads maps all
-    (task, chunk) pairs, so a batch of short runs keeps every thread busy,
+    from ``RngStream(seed, k)``, so tasks of one (d, row length) draw the
+    same C columns: they run as one stacked chain per chunk, and each fn
+    sees its own rows of it.  One pool of ``workers`` threads maps all
+    (group, chunk) pairs, so a batch of short runs keeps every thread busy,
     and the results do not depend on ``workers``.
     """
     tasks = [(fn, np.array(a, dtype=float, ndmin=2), check_dimension(d)) for fn, a, d in tasks]
-    # the chain runs on rows / s, s = 2^e > max |rows| (see "Radial chain")
-    scales = [np.ldexp(1.0, np.frexp(np.abs(a).max())[1]) for _, a, _ in tasks]
-    tasks = [(fn, a / s, d, s) for (fn, a, d), s in zip(tasks, scales)]
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (_, a, d) in enumerate(tasks):
+        shapes.setdefault((d, a.shape[1]), []).append(i)
+    groups = []  # (d, stacked rows / s, s per row, [(task, lo, hi)])
+    for (d, _), members in shapes.items():
+        # each task's chain runs on its rows / s, s = 2^e > max |rows| (see
+        # "Radial chain"); the chain treats rows independently, so a stacked
+        # row's norms are bit for bit its task's own
+        rows = [tasks[i][1] for i in members]
+        s = [np.full((len(a), 1), np.ldexp(1.0, np.frexp(np.abs(a).max())[1])) for a in rows]
+        ends = np.cumsum([len(a) for a in rows]).tolist()
+        groups.append((
+            d,
+            np.concatenate([a / si for a, si in zip(rows, s)]),
+            np.concatenate(s),
+            list(zip(members, [0, *ends], ends)),
+        ))
     full, rem = divmod(n_samples, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    jobs = [(i, k) for i in range(len(tasks)) for k in range(len(sizes))]
+    jobs = [(g, k) for g in range(len(groups)) for k in range(len(sizes))]
 
     def chunk(job: tuple[int, int]):
-        (fn, a, d, s), k = tasks[job[0]], job[1]
+        (d, a, s, slices), k = groups[job[0]], job[1]
         r = _radial_chain(a, d, RngStream(seed, k).generator(), sizes[k])
         r *= s
-        return fn(r)
+        return [(i, k, tasks[i][0](r[lo:hi])) for i, lo, hi in slices]
 
     if workers == 1:
         results = [chunk(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, jobs))
-    m = len(sizes)
-    return [results[i * m : (i + 1) * m] for i in range(len(tasks))]
+    out: list[list] = [[None] * len(sizes) for _ in tasks]
+    for i, k, value in itertools.chain.from_iterable(results):
+        out[i][k] = value
+    return out
 
 
 def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> np.ndarray:

@@ -138,6 +138,14 @@ class TestTheoremBound:
         res = theorem_bound(TailQuery(5, (0.3, 0.4), -2.0), "e2")
         assert res.raw == get_constant("e2").value
 
+    def test_threshold_over_a_tiny_scale(self):
+        # u / scale overflows to +-inf: the chi tail there is 0 (1 below zero)
+        res = theorem_bound(TailQuery(2, (1e-150, 1e-150), 1e200), "c3")
+        assert res.scale == 1e-150
+        assert res.raw == res.capped == 0.0
+        res = theorem_bound(TailQuery(2, (1e-150, 1e-150), -1e200), "c3")
+        assert res.raw == get_constant("c3").value
+
     def test_constant_ratio_is_pure(self):
         rng = np.random.default_rng(3)
         expected = get_constant("c3").value / get_constant("cstar").value

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of reports."""
 
 import argparse
 import csv
+import hashlib
 import inspect
 import io
 import itertools
@@ -130,6 +131,14 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "argument --u-linear: not allowed with argument --u" in err
+
+    def test_threshold_over_a_tiny_scale(self, capsys):
+        # u / scale overflows; the bound there is 0, not an input error
+        code, out, err = run_cli(
+            capsys, "bound", "--d", "2", "--coeffs", "1e-150,1e-150", "--u", "1e200"
+        )
+        assert (code, err) == (0, "")
+        assert out == "d=2 u=1e+200 scale=1e-150 C3: raw=0 capped=0\n"
 
     def test_out_needs_format(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -366,6 +375,22 @@ class TestKindFlags:
     def test_constants_takes_no_timestamp_flag(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--no-timestamp")
         assert code == 2 and "unrecognized arguments: --no-timestamp" in err
+
+    @pytest.mark.parametrize(
+        "argv, prog, unread",
+        [
+            (["--y", "bound", "--d", "2", "--coeffs", "1", "--u", "1"], "spheretail", "--y"),
+            (["--x=1", "check", "schur", "--a-sq", "1", "--b-sq", "1"], "spheretail", "--x=1"),
+            (["bound", "--d", "2", "--coeffs", "1", "--u", "1", "--x"], "spheretail bound", "--x"),
+        ],
+        ids=["before-command", "before-command-with-value", "after-command"],
+    )
+    def test_unrecognized_flag_under_the_parser_it_precedes(self, capsys, argv, prog, unread):
+        # a flag before the command word is the root's to report
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: {prog} [-h] ")
+        assert f"{prog}: error: unrecognized arguments: {unread}\n" in err
 
 
 # valid invocations that together read every flag of every command and kind
@@ -701,6 +726,31 @@ class TestVerifyCommand:
             )
         assert code == 0 and "violated=0" in out
         assert caught == []
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric"],
+                "ccdd94ded69780e253f1abf0d665cad5c96b3cd35744f281b359edd6f7bacf65",
+            ),
+            (
+                # extreme scales sharing (d, n) = (2, 5) with equal
+                ["--d", "2", "--n", "5", "--no-normalize", "--patterns",
+                 "equal,explicit:4e153,4e153,4e153,4e153,4e153,explicit:1e-300,3,1,2,0.5"],
+                "9844e25d1e0dfd4d74d8fe789b1ebcc4b1eb6aefafa13136fe35dfc4abf7d5e0",
+            ),
+        ],
+        ids=["grid", "extreme-scales"],
+    )
+    def test_sample_stream_is_pinned(self, capsys, argv, digest):
+        # a change of the Monte Carlo sample stream must edit these digests
+        # and declare the change; 40,000 samples make a partial second chunk
+        code, out, _ = run_cli(
+            capsys, "verify", *argv, "--samples", "40000", "--workers", "2", "--format", "csv"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_explicit_pattern_with_commas(self, capsys):
         code, out, _ = run_cli(

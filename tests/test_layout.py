@@ -8,8 +8,9 @@ sample comes from its engine.  Every package name the benchmark under
 signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
 Each rule that several modules share has one owner: only ``bounds.fsum_inf``
-calls ``math.fsum``, and the messages of the alpha and threshold checks are
-each written once.  Importing the package loads neither ``scipy.stats``,
+calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
+u / scale, and the messages of the alpha and threshold checks are each
+written once.  Importing the package loads neither ``scipy.stats``,
 which it does not need, nor ``scipy.integrate``, which one function needs.
 """
 
@@ -233,6 +234,12 @@ def test_only_the_sum_owner_calls_fsum():
     # every other correctly rounded sum goes through fsum_inf, which maps an
     # intermediate overflow to inf instead of raising OverflowError
     assert _callers_of("fsum") == [("bounds.py", "fsum_inf")]
+
+
+def test_only_the_comparator_owner_takes_a_chi_tail_of_a_ratio():
+    # u / scale may overflow a finite u; comparator_tail maps that to tail 0,
+    # which chi_tail would reject as a non-finite threshold
+    assert _callers_of("chi_tail") == [("bounds.py", "comparator_tail"), ("bounds.py", "g_lower")]
 
 
 @pytest.mark.parametrize("message", ["alpha must lie in (0, 1)", "threshold must be finite"])

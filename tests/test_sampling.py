@@ -29,7 +29,8 @@ from spheretail import (
     second_moment_exact,
 )
 from spheretail.report import CoefficientPattern
-from spheretail.sampling import CHUNK_SIZE, cos_marginal, mc_tail_batch
+from spheretail import sampling
+from spheretail.sampling import CHUNK_SIZE, cos_marginal, map_sum_norms, mc_tail_batch
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
@@ -143,13 +144,55 @@ class TestMcTail:
             assert other.p_hat == base.p_hat
 
     def test_batch_matches_one_instance_calls(self):
-        # one pool maps every (instance, chunk) pair; each instance keeps
-        # its own stream, here two chunks with the last one partial
-        instances = [(1, (1.0, 1.0), [0.5, 1.9]), (3, (0.5, 0.8, 1.1), [1.2]), (10, (1.0,), [0.5])]
+        # one pool maps every (group, chunk) pair; each instance keeps its
+        # own stream, here two chunks with the last one partial.  The (3, 3)
+        # instances share one chain although their power-of-two scales
+        # differ by 2^1500, and the last one repeats an earlier vector.
+        instances = [
+            (1, (1.0, 1.0), [0.5, 1.9]),
+            (3, (0.5, 0.8, 1.1), [1.2]),
+            (10, (1.0,), [0.5]),
+            (3, (4e153,) * 3, [4e153, 8e153]),
+            (3, (1e-300, 3.0, 1.0), [2.5, 3.5]),
+            (3, (1.0, 2.0, 0.5), [1.5, 2.5]),
+            (3, (0.5, 0.8, 1.1), [0.9, 1.5]),
+        ]
         n = CHUNK_SIZE + 1000
         alone = [mc_tail_multi(d, a, us, n, seed=4) for d, a, us in instances]
         for workers in (1, 2, 3):
             assert mc_tail_batch(instances, n, seed=4, workers=workers) == alone
+
+    def test_stacked_task_grouped_with_one_row_tasks(self):
+        # a two-row task keeps its one scale when it shares a chain
+        tasks = [
+            (np.copy, [[1.0, 2.0, 3.0], [0.5, 0.5, 4e153]], 2),
+            (np.copy, [1e-300, 2.0, 1.0], 2),
+            (np.copy, [1.0, 1.0], 5),
+        ]
+        n = 2 * CHUNK_SIZE + 7
+        alone = [map_sum_norms([task], n, seed=8)[0] for task in tasks]
+        for workers in (1, 2, 3):
+            together = map_sum_norms(tasks, n, seed=8, workers=workers)
+            assert len(together) == len(tasks)
+            for chunks, expected in zip(together, alone):
+                assert [c.shape for c in chunks] == [e.shape for e in expected]
+                assert all(np.array_equal(c, e) for c, e in zip(chunks, expected))
+
+    def test_each_shape_draws_its_cosines_once(self, monkeypatch):
+        # instances of one (d, n) draw the same C columns, so a chunk draws
+        # them once per (d, n): n - 1 columns per (d, n) group and chunk
+        calls = []
+
+        def counting(rng, d, size):
+            calls.append(d)
+            return cos_marginal(rng, d, size)
+
+        monkeypatch.setattr(sampling, "cos_marginal", counting)
+        patterns = [CoefficientPattern(k) for k in ("equal", "single", "geometric")]
+        dims, ns, chunks = (2, 5), (1, 2, 5), 2
+        instances = [(d, p.materialize(n), [0.5]) for d in dims for n in ns for p in patterns]
+        mc_tail_batch(instances, chunks * CHUNK_SIZE, seed=0, workers=2)
+        assert len(calls) == len(dims) * sum(n - 1 for n in ns) * chunks
 
     def test_batch_checks_workers_before_the_pool(self):
         with pytest.raises(ValueError, match=r"workers must be >= 1, got 0"):
