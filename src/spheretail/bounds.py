@@ -168,8 +168,8 @@ def comparator_tail(d: int, u: float, s: float) -> float:
     return chi_tail(d, ratio)
 
 
-def _bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
-    """c * P(s ||Z_d|| > u), raw and capped at 1."""
+def comparator_bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
+    """c * P(s ||Z_d|| > u), raw and capped at 1: the one bound formula."""
     c = get_constant(constant)
     raw = c.value * comparator_tail(d, u, s)
     return BoundResult(constant=c, scale=s, raw=raw, capped=min(raw, 1.0))
@@ -181,7 +181,7 @@ def theorem_bound(query: TailQuery, constant: str | BoundConstant = C3) -> Bound
     The chi-tail factor is 1 for u <= 0, so the raw bound degenerates to the
     constant itself there (the inequality is stated for all real u).
     """
-    return _bound(constant, scale(query.coeffs, query.d), query.d, query.u)
+    return comparator_bound(constant, scale(query.coeffs, query.d), query.d, query.u)
 
 
 CorollaryVariant = Literal["per_dimension", "as_printed"]
@@ -213,8 +213,8 @@ def corollary_bound(
     if variant not in ("per_dimension", "as_printed"):
         raise ValueError(f"unknown corollary variant {variant!r}")
     u = check_threshold(u)
-    total = sum_sq(b)
-    return _bound(constant, math.sqrt(total / d if variant == "per_dimension" else total), d, u)
+    sq_scale = sum_sq(b) / (d if variant == "per_dimension" else 1)
+    return comparator_bound(constant, math.sqrt(sq_scale), d, u)
 
 
 def g_lower(d) -> float:

@@ -55,11 +55,14 @@ def _number(token: str, kind: type = float):
         ) from None
 
 
-def _positive_int(token: str) -> int:
+def _int_from(low: int, token: str) -> int:
     value = _number(token, int)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+_positive_int, _nonnegative_int = functools.partial(_int_from, 1), functools.partial(_int_from, 0)
 
 
 def _alpha(token: str) -> float:
@@ -132,8 +135,8 @@ _KIND_FLAGS = {
     "--d": dict(type=int),
     "--p": dict(type=float),
     "--u": dict(type=float),
-    "--samples": dict(type=int, default=200_000),
-    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_positive_int, default=200_000),
+    "--seed": dict(type=_nonnegative_int, default=0),
     "--alpha": dict(type=_alpha, default=0.01),
     "--grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
     "--t-grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
@@ -248,7 +251,7 @@ def _add_kinds(p: argparse.ArgumentParser, kinds: dict, handler, common=()) -> N
     kind_parsers = p.add_subparsers(dest="which", metavar="KIND", required=True)
     for kind, (run, required, optional) in kinds.items():
         p_kind = kind_parsers.add_parser(kind, allow_abbrev=False)
-        p_kind.set_defaults(func=handler, run=run, parser=p_kind)
+        p_kind.set_defaults(func=handler, run=run, parser=p_kind, command_parser=p)
         for flag in (*required, *optional, *common):
             p_kind.add_argument(flag, required=flag in required, **_KIND_FLAGS[flag])
 
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     thresholds = p_verify.add_mutually_exclusive_group()
     thresholds.add_argument("--quantiles", type=_floats, default=DEFAULT_QUANTILES)
     thresholds.add_argument("--u-linear", type=_range_spec, metavar="LO:HI:COUNT")
-    p_verify.add_argument("--samples", type=int, default=1_000_000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--alpha", type=_alpha, default=0.01)
     p_verify.add_argument("--constants", type=str, default="c3")
     p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
@@ -400,9 +403,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args, unknown = parser.parse_known_args(argv)
     if unknown:
-        # a leftover before the command word is the root's, the rest are the leaf's
-        root = set(unknown) & set(argv[: argv.index(args.command)])
-        (parser if root else args.parser).error(f"unrecognized arguments: {' '.join(unknown)}")
+        # a leftover before the command word is the root's, one before a
+        # check or oracle kind word is the command's, the rest are the leaf's
+        words = [(args.command, parser)]
+        if "which" in args:
+            words.append((args.which, args.command_parser))
+        ahead = [p for word, p in words if set(unknown) & set(argv[: argv.index(word)])]
+        (ahead + [args.parser])[0].error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "out", None) and args.format is None:
         args.parser.error("argument --out: needs --format")
     try:

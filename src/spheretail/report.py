@@ -21,13 +21,12 @@ import numpy as np
 
 from .bounds import (
     BoundResult,
-    TailQuery,
     coeff_array,
+    comparator_bound,
     comparator_tail,
     get_constant,
     scale,
     sum_sq,
-    theorem_bound,
 )
 from .gaussian_chi import chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
@@ -208,14 +207,12 @@ def bound_records(
     holds the Monte Carlo estimate at each threshold, if any."""
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)
-    records = []
-    for u, est in zip(thresholds, estimates or [None] * len(thresholds)):
-        query = TailQuery(d, tuple(coeffs), u)
-        records += [
-            VerificationRecord(d, len(coeffs), pattern, u, theorem_bound(query, c), est)
-            for c in constants
-        ]
-    return records
+    s = scale(coeffs, d)
+    return [
+        VerificationRecord(d, len(coeffs), pattern, u, comparator_bound(c, s, d, u), est)
+        for u, est in zip(thresholds, estimates or [None] * len(thresholds))
+        for c in constants
+    ]
 
 
 def run_sweep(

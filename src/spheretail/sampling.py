@@ -12,7 +12,7 @@ where C is one coordinate of a uniform unit vector in R^d, drawn
 independently of the past (``cos_marginal`` holds its law).  The chain
 starts at R = |a_1| without a draw, so a sample costs O(n) time in any
 dimension.  This form of the update gives |R +- a| exactly for d = 1 and
-keeps a one-coefficient norm exactly |a_1|.  ``map_sum_norms`` runs it on
+keeps a one-coefficient norm exactly |a_1|.  ``_radial_chain`` runs it on
 the coefficients over a power of two that brings the largest below 1 and
 scales the norms back, so no squared partial norm overflows; power-of-two
 scaling is exact unless an intermediate is subnormal, so every other norm
@@ -24,9 +24,9 @@ Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
 ``map_sum_norms`` is the one chunk map that every sample goes through.
-Tasks of one (d, n) draw identical C columns, so a call draws them once
-per chunk and runs those tasks as one stacked chain, each row at its own
-task's scale; every norm equals the one-task call's.
+Tasks of one (d, n) draw identical C columns, so a call draws each column
+once per chunk and each task runs its own chain on it; every norm equals
+the one-task call's.
 Workers only map chunks to threads (one pool maps every (group, chunk)
 pair of a ``map_sum_norms`` call), so the drawn sample stream, the hit
 count, and hence the reported estimate are identical for any degree of
@@ -150,16 +150,19 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     return 2.0 * rng.beta(half, half, size) - 1.0
 
 
-def _radial_chain(rows: np.ndarray, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(len(rows), size) samples of ||sum_j rows[i, j] U_j||; all rows share
-    the C draws."""
+def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:
+    """(len(rows), size) samples of ||sum_j rows[i, j] U_j||, where column
+    j >= 1 of every row uses the C draws cols[j - 1].  The chain runs on
+    rows / s, s = 2^e > max |rows|, and scales its norms by s."""
+    s = np.ldexp(1.0, np.frexp(np.abs(rows).max())[1])
+    rows = rows / s
     r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
-    for a in rows.T[1:, :, None]:
-        c = cos_marginal(rng, d, size)
+    for a, c in zip(rows.T[1:, :, None], cols):
         r += a * c
         r *= r
         r += (a * a) * (1.0 - c * c)
         np.sqrt(r, out=r)
+    r *= s
     return r
 
 
@@ -171,42 +174,28 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     every row of a task uses the same C draws (common random numbers).
     Every task draws the same chunk layout, and chunk k of any task draws
     from ``RngStream(seed, k)``, so tasks of one (d, row length) draw the
-    same C columns: they run as one stacked chain per chunk, and each fn
-    sees its own rows of it.  One pool of ``workers`` threads maps all
-    (group, chunk) pairs, so a batch of short runs keeps every thread busy,
-    and the results do not depend on ``workers``.
+    same C columns: a chunk draws them once, and each task runs its own
+    chain on them.  One pool of ``workers`` threads maps all (group, chunk)
+    pairs, so a batch of short runs keeps every thread busy, and the
+    results do not depend on ``workers``.
     """
-    tasks = [(fn, np.array(a, dtype=float, ndmin=2), check_dimension(d)) for fn, a, d in tasks]
+    groups: dict[tuple[int, int], list] = {}  # (d, n) -> [(task, fn, rows)]
+    for i, (fn, a, d) in enumerate(tasks):
+        a = np.array(a, dtype=float, ndmin=2)
+        groups.setdefault((check_dimension(d), a.shape[1]), []).append((i, fn, a))
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, (_, a, d) in enumerate(tasks):
-        shapes.setdefault((d, a.shape[1]), []).append(i)
-    groups = []  # (d, stacked rows / s, s per row, [(task, lo, hi)])
-    for (d, _), members in shapes.items():
-        # each task's chain runs on its rows / s, s = 2^e > max |rows| (see
-        # "Radial chain"); the chain treats rows independently, so a stacked
-        # row's norms are bit for bit its task's own
-        rows = [tasks[i][1] for i in members]
-        s = [np.full((len(a), 1), np.ldexp(1.0, np.frexp(np.abs(a).max())[1])) for a in rows]
-        ends = np.cumsum([len(a) for a in rows]).tolist()
-        groups.append((
-            d,
-            np.concatenate([a / si for a, si in zip(rows, s)]),
-            np.concatenate(s),
-            list(zip(members, [0, *ends], ends)),
-        ))
     full, rem = divmod(n_samples, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    jobs = [(g, k) for g in range(len(groups)) for k in range(len(sizes))]
+    jobs = [(shape, k) for shape in groups for k in range(len(sizes))]
 
-    def chunk(job: tuple[int, int]):
-        (d, a, s, slices), k = groups[job[0]], job[1]
-        r = _radial_chain(a, d, RngStream(seed, k).generator(), sizes[k])
-        r *= s
-        return [(i, k, tasks[i][0](r[lo:hi])) for i, lo, hi in slices]
+    def chunk(job: tuple[tuple[int, int], int]):
+        (d, n), k = job
+        rng = RngStream(seed, k).generator()
+        cols = [cos_marginal(rng, d, sizes[k]) for _ in range(n - 1)]
+        return [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d, n]]
 
     if workers == 1:
         results = [chunk(job) for job in jobs]
@@ -226,7 +215,7 @@ def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> n
     return np.concatenate(chunks)
 
 
-def _hit_counter(us: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _hit_counter(us: list[float]) -> Callable[[np.ndarray], np.ndarray]:
     """norms -> the number of norms above each threshold in ``us``."""
     return lambda r: np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
 
@@ -251,9 +240,9 @@ def mc_tail_batch(
     for d, coeffs, u_values in instances:
         a = coeff_array(coeffs)
         us = np.asarray(u_values, dtype=float)
-        if us.ndim != 1 or us.size < 1 or not np.all(np.isfinite(us)):
-            raise ValueError("u_values must be a nonempty sequence of finite reals")
-        tasks.append((_hit_counter(us), a, d))
+        if us.ndim != 1 or us.size < 1:
+            raise ValueError("u_values must be a nonempty sequence of reals")
+        tasks.append((_hit_counter([check_threshold(u) for u in us]), a, d))
     check_alpha(alpha)
     out = []
     for chunk_hits in map_sum_norms(tasks, n_samples, seed, workers):

@@ -16,7 +16,7 @@ import pytest
 
 from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
 from spheretail import cosh_profile, is_bisubharmonic_numeric
-from spheretail import __version__, report
+from spheretail import __version__, bounds, report
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
 from spheretail.sampling import CHUNK_SIZE
@@ -139,6 +139,24 @@ class TestBoundCommand:
         )
         assert (code, err) == (0, "")
         assert out == "d=2 u=1e+200 scale=1e-150 C3: raw=0 capped=0\n"
+
+    @pytest.mark.parametrize(
+        "coeffs, digest",
+        [
+            ("1e-150,1e-150,3", "bd187121687fc9b5775d79102c72c1f03030df5c0d7f0c2dac40a15091b7319d"),
+            # u / scale overflows on both sides of zero
+            ("1e-150,1e-150", "39d14680151f49c43f73994fcf2cd9ed5d7e442102863a1934247be0aa36e927"),
+        ],
+        ids=["scale-2.12", "scale-1e-150"],
+    )
+    def test_json_report_is_pinned(self, capsys, coeffs, digest):
+        # thresholds below, at and above zero, under every constant
+        code, out, _ = run_cli(
+            capsys, "bound", "--d", "2", "--coeffs", coeffs, "--u-linear=-1e200:1e200:7",
+            "--constants", "c3,cstar,e2,nt397", "--format", "json", "--no-timestamp",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_out_needs_format(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -382,11 +400,16 @@ class TestKindFlags:
             (["--y", "bound", "--d", "2", "--coeffs", "1", "--u", "1"], "spheretail", "--y"),
             (["--x=1", "check", "schur", "--a-sq", "1", "--b-sq", "1"], "spheretail", "--x=1"),
             (["bound", "--d", "2", "--coeffs", "1", "--u", "1", "--x"], "spheretail bound", "--x"),
+            (["check", "--bogus", "bisub", "--f", "power4", "--d", "3"], "spheretail check",
+             "--bogus"),
+            (["oracle", "--bogus", "m2", "--coeffs", "1"], "spheretail oracle", "--bogus"),
         ],
-        ids=["before-command", "before-command-with-value", "after-command"],
+        ids=["before-command", "before-command-with-value", "after-command", "before-check-kind",
+             "before-oracle-kind"],
     )
     def test_unrecognized_flag_under_the_parser_it_precedes(self, capsys, argv, prog, unread):
-        # a flag before the command word is the root's to report
+        # a flag before the command word is the root's to report, and one
+        # before a check or oracle kind word is the command's
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"usage: {prog} [-h] ")
@@ -752,6 +775,28 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric",
+                 "--samples", "40000", "--workers", "2"],
+                "2d9b70b67ced9f925a22131a81522945663e0571b1bd74efd31d31998b155213",
+            ),
+            (
+                # the comparator tail underflows at u = 30 and 60: ratio_upper Infinity
+                ["--d", "3", "--n", "2", "--u-linear", "0:60:3", "--samples", "1000"],
+                "beaa7a16ed81e5ebb31a8bd5b812ee351e2b080bf03955ee0f278170922083da",
+            ),
+        ],
+        ids=["grid", "underflowed-tail"],
+    )
+    def test_json_report_is_pinned(self, capsys, argv, digest):
+        # ratio_upper, alpha and the summary block appear only in JSON
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json", "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_explicit_pattern_with_commas(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--d", "1", "--n", "2",
@@ -883,6 +928,14 @@ class TestInputErrors:
             (["check", "bc", "--f", "power4", "--a-sq", "1e154,1e154", "--b-sq", "1e154,1e154",
               "--d", "2"],
              "E power4(||sum a_i U_i||) overflows double precision"),
+            # a sample count below 1 or a negative seed is a usage error of its flag
+            (["verify", "--d", "2", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
+            (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4",
+              "--samples", "0"],
+             "argument --samples: must be >= 1, got 0"),
+            (["verify", "--d", "2", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+            (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "3", "--seed", "-1"],
+             "argument --seed: must be >= 0, got -1"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
@@ -960,6 +1013,18 @@ class TestVerdictClassification:
         assert rec.ratio_upper == 0.25  # the chi tail is 1 at u = 0
         bare = VerificationRecord(1, 1, "single", 0.0, bound)
         assert (bare.verdict, bare.ratio_upper) == ("", 0.0)
+
+
+class TestBoundRecords:
+    def test_coefficients_are_checked_once(self, monkeypatch):
+        # the records of one call share one comparator scale
+        calls = []
+        check = bounds.coeff_array
+        monkeypatch.setattr(bounds, "coeff_array", lambda a: calls.append(a) or check(a))
+        us, constants = np.linspace(0.0, 3.0, 7), ["c3", "cstar", "e2", "nt397"]
+        records = report.bound_records(2, "explicit", [0.3, 0.4, 1.2], us, constants)
+        assert len(records) == 28
+        assert len(calls) == 1
 
 
 class TestSweepThresholds:

@@ -9,9 +9,10 @@ signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
 Each rule that several modules share has one owner: only ``bounds.fsum_inf``
 calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
-u / scale, and the messages of the alpha and threshold checks are each
-written once.  Importing the package loads neither ``scipy.stats``,
-which it does not need, nor ``scipy.integrate``, which one function needs.
+u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult``, and
+the messages of the alpha and threshold checks are each written once.
+Importing the package loads neither ``scipy.stats``, which it does not
+need, nor ``scipy.integrate``, which one function needs.
 """
 
 import ast
@@ -240,6 +241,12 @@ def test_only_the_comparator_owner_takes_a_chi_tail_of_a_ratio():
     # u / scale may overflow a finite u; comparator_tail maps that to tail 0,
     # which chi_tail would reject as a non-finite threshold
     assert _callers_of("chi_tail") == [("bounds.py", "comparator_tail"), ("bounds.py", "g_lower")]
+
+
+def test_only_the_bound_owner_builds_a_bound_result():
+    # theorem_bound, corollary_bound and the sweep records all go through
+    # comparator_bound, so c * P(s ||Z_d|| > u), raw and capped, has one owner
+    assert _callers_of("BoundResult") == [("bounds.py", "comparator_bound")]
 
 
 @pytest.mark.parametrize("message", ["alpha must lie in (0, 1)", "threshold must be finite"])

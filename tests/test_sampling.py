@@ -236,6 +236,8 @@ class TestMcTail:
             mc_tail_multi(2, (1.0,), [0.5], 10, seed=0, alpha=1.5)
         with pytest.raises(ValueError, match="workers"):
             mc_tail_multi(2, (1.0,), [0.5], 10, seed=0, workers=0)
+        with pytest.raises(ValueError, match=r"^threshold must be finite, got inf$"):
+            mc_tail_multi(2, (1, 1), [math.inf], 100, 0)
 
 
 class TestClopperPearson:
