@@ -143,10 +143,12 @@ class TailQuery:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """An evaluated bound: constant, comparator scale, raw and capped values."""
+    """An evaluated bound: constant, comparator scale, the comparator tail
+    P(scale ||Z_d|| > u) that the constant multiplies, raw and capped values."""
 
     constant: BoundConstant
     scale: float
+    tail: float
     raw: float
     capped: float
 
@@ -171,8 +173,9 @@ def comparator_tail(d: int, u: float, s: float) -> float:
 def comparator_bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
     """c * P(s ||Z_d|| > u), raw and capped at 1: the one bound formula."""
     c = get_constant(constant)
-    raw = c.value * comparator_tail(d, u, s)
-    return BoundResult(constant=c, scale=s, raw=raw, capped=min(raw, 1.0))
+    tail = comparator_tail(d, u, s)
+    raw = c.value * tail
+    return BoundResult(constant=c, scale=s, tail=tail, raw=raw, capped=min(raw, 1.0))
 
 
 def theorem_bound(query: TailQuery, constant: str | BoundConstant = C3) -> BoundResult:

@@ -1,5 +1,7 @@
 """Command-line front end: bound evaluation, verification sweeps, exact
-oracles, comparison checks, and the constants table.
+oracles, comparison checks, and the constants table.  Every parser is a
+``_Parser`` (``add_subparsers`` passes the class down), which reports the
+arguments it was given and did not consume under its own usage.
 
 Exit codes: 0 all checks hold, 1 a statistically conclusive violation was
 found, 2 usage or input error (overflow included), 3 capacity or budget error.
@@ -113,7 +115,6 @@ def _write_report(args, records, seed: int = 0, summary=None) -> None:
 
 
 def _add_output_flags(p: argparse.ArgumentParser, stamped: bool = True) -> None:
-    p.set_defaults(parser=p)  # so main reports p's own errors under p's usage
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", default=None, help="write the report here (needs --format)")
     if stamped:
@@ -251,13 +252,23 @@ def _add_kinds(p: argparse.ArgumentParser, kinds: dict, handler, common=()) -> N
     kind_parsers = p.add_subparsers(dest="which", metavar="KIND", required=True)
     for kind, (run, required, optional) in kinds.items():
         p_kind = kind_parsers.add_parser(kind, allow_abbrev=False)
-        p_kind.set_defaults(func=handler, run=run, parser=p_kind, command_parser=p)
+        p_kind.set_defaults(func=handler, run=run)
         for flag in (*required, *optional, *common):
             p_kind.add_argument(flag, required=flag in required, **_KIND_FLAGS[flag])
 
 
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if vars(namespace).get("out") and namespace.format is None:
+            self.error("argument --out: needs --format")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spheretail",
         description=(
             "Tail-comparison bounds for norms of sums of uniform-on-sphere "
@@ -399,19 +410,7 @@ def cmd_constants(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:
-        # a leftover before the command word is the root's, one before a
-        # check or oracle kind word is the command's, the rest are the leaf's
-        words = [(args.command, parser)]
-        if "which" in args:
-            words.append((args.which, args.command_parser))
-        ahead = [p for word, p in words if set(unknown) & set(argv[: argv.index(word)])]
-        (ahead + [args.parser])[0].error(f"unrecognized arguments: {' '.join(unknown)}")
-    if getattr(args, "out", None) and args.format is None:
-        args.parser.error("argument --out: needs --format")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -23,7 +23,6 @@ from .bounds import (
     BoundResult,
     coeff_array,
     comparator_bound,
-    comparator_tail,
     get_constant,
     scale,
     sum_sq,
@@ -141,7 +140,7 @@ class VerificationRecord:
 
     def __post_init__(self):
         if self.estimate is not None:
-            tail = comparator_tail(self.d, self.u, self.bound.scale)
+            tail = self.bound.tail
             ratio = self.estimate.ci_high / tail if tail > 0.0 else math.inf
             object.__setattr__(self, "ratio_upper", ratio)
             raw, est = self.bound.raw, self.estimate
@@ -247,6 +246,10 @@ def run_sweep(
     _reject_repeats(
         "pattern", patterns, lambda p: p.label + (f" {list(p.values)}" if p.values else "")
     )
+    name, grid = ("quantile", quantiles) if thresholds is None else ("threshold", thresholds)
+    if len(grid) == 0:
+        raise ValueError(f"sweep needs at least one {name}")
+    _reject_repeats(name, grid)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     instances = [

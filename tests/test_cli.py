@@ -403,13 +403,18 @@ class TestKindFlags:
             (["check", "--bogus", "bisub", "--f", "power4", "--d", "3"], "spheretail check",
              "--bogus"),
             (["oracle", "--bogus", "m2", "--coeffs", "1"], "spheretail oracle", "--bogus"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "check"], "spheretail check bisub",
+             "check"),
+            (["oracle", "m2", "--coeffs", "1", "oracle"], "spheretail oracle m2", "oracle"),
         ],
         ids=["before-command", "before-command-with-value", "after-command", "before-check-kind",
-             "before-oracle-kind"],
+             "before-oracle-kind", "command-word-after-check-kind",
+             "command-word-after-oracle-kind"],
     )
     def test_unrecognized_flag_under_the_parser_it_precedes(self, capsys, argv, prog, unread):
         # a flag before the command word is the root's to report, and one
-        # before a check or oracle kind word is the command's
+        # before a check or oracle kind word is the command's; anything after
+        # the kind word is the kind's, even a repeat of the command word
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"usage: {prog} [-h] ")
@@ -936,6 +941,12 @@ class TestInputErrors:
             (["verify", "--d", "2", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
             (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "3", "--seed", "-1"],
              "argument --seed: must be >= 0, got -1"),
+            # a threshold grid that is empty or lists a value twice, named before sampling
+            (["verify", "--d", "2", "--quantiles", "0.5,0.5"],
+             "quantile value 0.5 is repeated; list each value once"),
+            (["verify", "--d", "2", "--u-linear", "1:1:3"],
+             "threshold value 1.0 is repeated; list each value once"),
+            (["verify", "--d", "2", "--quantiles", ""], "sweep needs at least one quantile"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):
@@ -986,27 +997,27 @@ class TestVerdictClassification:
         return VerificationRecord(1, 1, "single", 0.0, bound, est).verdict
 
     def test_violated_requires_ci_separation(self):
-        bound = BoundResult(get_constant("c3"), 1.0, 0.10, 0.10)
+        bound = BoundResult(get_constant("c3"), 1.0, 1.0, 0.10, 0.10)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         assert self.verdict(bound, est) == "VIOLATED"
 
     def test_holds_when_raw_above_one(self):
-        bound = BoundResult(get_constant("c3"), 1.0, 1.4, 1.0)
+        bound = BoundResult(get_constant("c3"), 1.0, 1.0, 1.4, 1.0)
         est = McEstimate(1.0, 0.95, 1.0, 1000, 1000, 0, 0.01)
         assert self.verdict(bound, est) == "HOLDS"
 
     def test_inconclusive_straddle(self):
-        bound = BoundResult(get_constant("c3"), 1.0, 0.20, 0.20)
+        bound = BoundResult(get_constant("c3"), 1.0, 1.0, 0.20, 0.20)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         assert self.verdict(bound, est) == "INCONCLUSIVE"
 
     def test_holds_when_ci_below_bound(self):
-        bound = BoundResult(get_constant("c3"), 1.0, 0.30, 0.30)
+        bound = BoundResult(get_constant("c3"), 1.0, 1.0, 0.30, 0.30)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         assert self.verdict(bound, est) == "HOLDS"
 
     def test_record_derives_verdict_and_ratio(self):
-        bound = BoundResult(get_constant("c3"), 1.0, 0.10, 0.10)
+        bound = BoundResult(get_constant("c3"), 1.0, 1.0, 0.10, 0.10)
         est = McEstimate(0.2, 0.15, 0.25, 1000, 200, 0, 0.01)
         rec = VerificationRecord(1, 1, "single", 0.0, bound, est)
         assert rec.verdict == "VIOLATED"

@@ -9,8 +9,10 @@ signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
 Each rule that several modules share has one owner: only ``bounds.fsum_inf``
 calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
-u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult``, and
-the messages of the alpha and threshold checks are each written once.
+u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
+takes that tail, only ``cli._Parser`` parses known arguments, and the
+messages of the alpha, threshold and command-line usage checks are each
+written once.
 Importing the package loads neither ``scipy.stats``, which it does not
 need, nor ``scipy.integrate``, which one function needs.
 """
@@ -249,7 +251,27 @@ def test_only_the_bound_owner_builds_a_bound_result():
     assert _callers_of("BoundResult") == [("bounds.py", "comparator_bound")]
 
 
-@pytest.mark.parametrize("message", ["alpha must lie in (0, 1)", "threshold must be finite"])
+def test_only_the_bound_owner_takes_the_comparator_tail():
+    # a record reads its ratio's denominator from BoundResult.tail, the value
+    # the constant multiplies, instead of evaluating the chi tail again
+    assert _callers_of("comparator_tail") == [("bounds.py", "comparator_bound")]
+
+
+def test_only_the_parser_class_parses_known_arguments():
+    # each parser reports its own leftovers, so nothing else may parse
+    # loosely and then guess from argv which parser an argument was given to
+    assert _callers_of("parse_known_args") == [("cli.py", "parse_known_args")]
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "alpha must lie in (0, 1)",
+        "threshold must be finite",
+        "unrecognized arguments",
+        "argument --out: needs --format",
+    ],
+)
 def test_each_input_rule_is_written_once(message):
     found = [
         f"{path.name} line {node.lineno}"
