@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--alpha", type=_alpha, default=0.01)
     p_verify.add_argument("--constants", type=str, default="c3")
     p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.add_argument(
         "--no-normalize",
         action="store_true",

@@ -8,7 +8,7 @@ bounds into testable predicates:
   with convex second derivative), decided by finite differences on a grid;
 * numerical bisubharmonicity of the radial lift f(x) = h(||x||), via the
   equivalence "f bisubharmonic iff t -> E f(y + U sqrt t) is convex on
-  (0, oo) for every center y";
+  (0, oo) for every center y", by Monte Carlo or by ``sampling.cos_rule``;
 * Schur majorization of squared-coefficient tuples;
 * the moment comparisons between sums of scaled unit vectors, their
   redistributed counterparts, and their Gaussian comparators, including the
@@ -25,7 +25,6 @@ Hypothesis-style checks report "consistent", never "proven".
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -35,7 +34,7 @@ from scipy import special
 
 from .bounds import coeff_array, fsum_inf, sum_sq
 from .gaussian_chi import check_dimension, chi_expectation, chi_moment
-from .sampling import check_alpha, judge, map_sum_norms
+from .sampling import check_alpha, cos_rule, judge, map_sum_norms
 
 _LN2 = math.log(2.0)
 
@@ -280,7 +279,6 @@ class BisubReport:
     triples: tuple[BisubTriple, ...]
     method: str
     atol: float
-    alpha: float
 
     @property
     def passed(self) -> bool:
@@ -289,45 +287,6 @@ class BisubReport:
     @property
     def min_margin(self) -> float:
         return min(t.margin for t in self.triples)
-
-
-@functools.cache
-def _angle_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cos theta_i, sin theta_i, w_i): the 257-node Gauss-Legendre rule
-    mapped onto [0, pi], built on first use and then shared (read-only)."""
-    t, w = np.polynomial.legendre.leggauss(257)
-    theta = 0.5 * math.pi * (t + 1.0)
-    rule = (np.cos(theta), np.sin(theta), w * (0.5 * math.pi))
-    for v in rule:
-        v.flags.writeable = False
-    return rule
-
-
-def _cos_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for E over cos(angle between U and a fixed direction).
-
-    Returns (cos theta_i, normalized weights): the two points +-1 for d = 1,
-    else the 257 nodes of ``_angle_rule`` with weight density proportional
-    to sin^(d-2) theta on [0, pi], self-normalized so constants integrate
-    exactly to 1.  The nodes are built once per process; only the
-    sin^(d-2) weighting is computed per call.
-    """
-    if d == 1:
-        return np.array([1.0, -1.0]), np.array([0.5, 0.5])
-    cosv, sinv, w = _angle_rule()
-    w = w * sinv ** (d - 2)
-    return cosv, w / w.sum()
-
-
-def _mean_profile_quadrature(fn, d, y_norm, ts) -> np.ndarray:
-    """m(t) = E h(||y + U sqrt t||) via the cosine-marginal quadrature."""
-    cosv, wts = _cos_weights(d)
-    y2 = y_norm * y_norm
-    out = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        r2 = np.clip(y2 + t + 2.0 * math.sqrt(t) * y_norm * cosv, 0.0, None)
-        out[j] = float(wts @ fn.h(np.sqrt(r2)))
-    return out
 
 
 def _bisub_mc(fn, d, norms, ts, npairs, seed):
@@ -363,7 +322,6 @@ def is_bisubharmonic_numeric(
     t_grid=None,
     samples: int = 20_000,
     seed: int = 0,
-    alpha: float = 0.01,
     method: str = "mc",
 ) -> BisubReport:
     """Test convexity of t -> E f(y + U sqrt t) for the radial f = h(||.||).
@@ -376,13 +334,13 @@ def is_bisubharmonic_numeric(
     method="mc" estimates the margins from samples // 2 antithetic pairs on
     the sampling engine, with common random numbers across the whole grid
     (for pure powers 2 and 4 the margin is then exact); a triple is a *fail*
-    only when its confidence interval sits entirely below -atol, a *pass*
+    only when its 99% confidence interval sits entirely below -atol, a *pass*
     when it sits entirely above, and *inconclusive* otherwise -- wide
     intervals are never reported as a pass.  atol is 1e-9 times the profile
-    scale.  method="quadrature" computes the profile deterministically from
-    the cosine marginal instead; ``check bisub`` and the certification of
-    comparison profiles decide by it, and the Monte Carlo default is the
-    independent reference that the quadrature is cross-checked against.
+    scale.  method="quadrature" integrates h over ||y + U sqrt t||^2 =
+    |y|^2 + t + 2 sqrt(t) |y| C with ``sampling.cos_rule`` instead; ``check
+    bisub`` and the certification of comparison profiles decide by it, and
+    the Monte Carlo default is the reference it is cross-checked against.
     """
     d = check_dimension(d)
     ts = np.asarray(
@@ -399,17 +357,21 @@ def is_bisubharmonic_numeric(
         raise ValueError(f"centre norms must be finite, got {norms}")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    z = _z(alpha)
 
     if method == "quadrature":
+        cosv, wts = cos_rule(d)
         with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects the result
-            profiles = np.array([_mean_profile_quadrature(fn, d, y, ts) for y in norms])
+            # h on each centre's (t, node) grid; a 1-D dot per t fixes the summation order
+            r2 = [(y * y + ts)[:, None] + 2.0 * np.sqrt(ts)[:, None] * y * cosv for y in norms]
+            h = [fn.h(np.sqrt(np.clip(r, 0.0, None))) for r in r2]
+            profiles = np.array([[wts @ row for row in grid] for grid in h])
             margins = profiles[:, :-2] + profiles[:, 2:] - 2.0 * profiles[:, 1:-1]
         _finite(np.append(profiles, margins), f"E {fn.label}(||y + U sqrt t||) on the t grid")
         ses = np.zeros_like(margins)
     else:
         profiles, margins, ses = _bisub_mc(fn, d, norms, ts, max(2, samples // 2), seed)
     atol = 1e-9 * max(1.0, float(np.abs(profiles).max()))
+    z = _z(0.01)
     triples = tuple(
         BisubTriple(
             y, *ts[j : j + 3].tolist(), m, s, _BISUB_STATUS[judge(m - z * s, m + z * s, -atol)]
@@ -418,7 +380,7 @@ def is_bisubharmonic_numeric(
         for j, (m, s) in enumerate(zip(m_row, s_row))
     )
     overall = max((t.status for t in triples), key=list(_BISUB_STATUS.values()).index)
-    return BisubReport(overall, triples, method, atol, alpha)
+    return BisubReport(overall, triples, method, atol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from .bounds import (
     scale,
     sum_sq,
 )
-from .gaussian_chi import chi_tail_inverse
+from .gaussian_chi import check_dimension, chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
 
 #: frozen CSV schema, one row per (query, constant)
@@ -204,6 +205,7 @@ def bound_records(
 ) -> list[VerificationRecord]:
     """One record per (threshold, constant), in that order; ``estimates``
     holds the Monte Carlo estimate at each threshold, if any."""
+    _reject_repeats("threshold", thresholds)
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)
     s = scale(coeffs, d)
@@ -235,6 +237,9 @@ def run_sweep(
     ``thresholds`` if given, else the comparator tail ``quantiles``; one
     ``mc_tail_batch`` call runs every instance's pass on one pool.  Then
     one record per (threshold, constant)."""
+    # plain ints, as the records carry them into the JSON report
+    dimensions = [check_dimension(d) for d in dimensions]
+    seed, samples = operator.index(seed), operator.index(samples)
     if not dimensions or not patterns:
         raise ValueError("sweep needs at least one dimension and one pattern")
     if any(k.kind != "explicit" for k in patterns) and not n_values:
@@ -307,7 +312,7 @@ def records_to_json(
     summary: SweepSummary | None = None,
     timestamp: bool = True,
 ) -> str:
-    meta: dict = {"seed": seed, "version": version}
+    meta: dict = {"seed": operator.index(seed), "version": version}
     if timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc: dict = {"meta": meta}

@@ -9,14 +9,14 @@ is a Markov chain: adding a U to a sum of norm R gives norm
     sqrt((R + a C)^2 + a^2 (1 - C^2)),
 
 where C is one coordinate of a uniform unit vector in R^d, drawn
-independently of the past (``cos_marginal`` holds its law).  The chain
-starts at R = |a_1| without a draw, so a sample costs O(n) time in any
-dimension.  This form of the update gives |R +- a| exactly for d = 1 and
-keeps a one-coefficient norm exactly |a_1|.  ``_radial_chain`` runs it on
-the coefficients over a power of two that brings the largest below 1 and
-scales the norms back, so no squared partial norm overflows; power-of-two
-scaling is exact unless an intermediate is subnormal, so every other norm
-is bit for bit the unscaled chain's.
+independently of the past (``cos_marginal`` samples its law, ``cos_rule``
+is its quadrature).  The chain starts at R = |a_1| without a draw, so a
+sample costs O(n) time in any dimension.  This form of the update gives
+|R +- a| exactly for d = 1 and keeps a one-coefficient norm exactly |a_1|.
+``_radial_chain`` runs it on the coefficients over a power of two that
+brings the largest below 1 and scales the norms back, so no squared partial
+norm overflows; power-of-two scaling is exact unless an intermediate is
+subnormal, so every other norm is bit for bit the unscaled chain's.
 
 Determinism contract
 --------------------
@@ -39,6 +39,7 @@ probabilities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -148,6 +149,31 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size)
     half = 0.5 * (d - 1)
     return 2.0 * rng.beta(half, half, size) - 1.0
+
+
+@functools.cache
+def _angle_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos theta_i, sin theta_i, w_i): the 257-node Gauss-Legendre rule
+    mapped onto [0, pi], built on first use and then shared (read-only)."""
+    t, w = np.polynomial.legendre.leggauss(257)
+    theta = 0.5 * math.pi * (t + 1.0)
+    rule = (np.cos(theta), np.sin(theta), w * (0.5 * math.pi))
+    for v in rule:
+        v.flags.writeable = False
+    return rule
+
+
+def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of a quadrature for E g(C) under the law that
+    ``cos_marginal`` samples: +-1 with weight 1/2 for d = 1, else the cosines
+    of ``_angle_rule``'s nodes, weighted by sin^(d-2) theta and normalised
+    to sum to 1.  Only the weighting is computed per call."""
+    d = check_dimension(d)
+    if d == 1:
+        return np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    cosv, sinv, w = _angle_rule()
+    w = w * sinv ** (d - 2)
+    return cosv, w / w.sum()
 
 
 def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -210,6 +211,11 @@ class TestCheckCommand:
         assert code == 0 and "false" in out
         code, out, _ = run_cli(capsys, "check", "classc", "--f", "power4")
         assert "true" in out
+
+    def test_classc_warns_on_a_coarse_grid(self, capsys):
+        code, out, err = run_cli(capsys, "check", "classc", "--f", "power4", "--grid=-1:1:7")
+        assert code == 0 and "true" in out
+        assert err.startswith("warning: grid has only 7 points; ")
 
     def test_gauss_power4(self, capsys):
         code, out, _ = run_cli(
@@ -590,6 +596,20 @@ class TestVerifyCommand:
         assert "timestamp" not in doc["meta"]
         assert doc["meta"]["seed"] == 11
 
+    def test_json_timestamp_is_utc(self, capsys, tmp_path):
+        # the default --format json stamps the report; the stamp is its only
+        # difference from the --no-timestamp report
+        docs = []
+        for extra in ([], ["--no-timestamp"]):
+            out = tmp_path / f"r{len(docs)}.json"
+            code, _, _ = run_cli(capsys, *self.ARGS, "--format", "json", *extra, "--out", str(out))
+            assert code == 0
+            docs.append(json.loads(out.read_text()))
+        stamped, plain = docs
+        stamp = datetime.fromisoformat(stamped["meta"].pop("timestamp"))
+        assert stamp.utcoffset() == timedelta(0)
+        assert stamped == plain
+
     def test_summary_line(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS)
         assert code == 0
@@ -655,6 +675,7 @@ class TestVerifyCommand:
              "constant value C3 is repeated; list each value once"),
             (["--d", "1", "--constants", "e2,cstar,c_star"],
              "constant value C_STAR is repeated; list each value once"),
+            (["--d", "1", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
         ],
     )
     def test_bad_setting_fails_before_sampling(self, capsys, monkeypatch, argv, message):
@@ -665,6 +686,21 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv, "--samples", "10")
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "numpy_int",
+        [{"dimensions": [np.int64(2)]}, {"seed": np.int64(1)}, {"samples": np.int64(1000)}],
+        ids=["dimensions", "seed", "samples"],
+    )
+    def test_run_sweep_takes_numpy_integers(self, numpy_int):
+        # records carry d, seed and samples into the JSON report, which
+        # serialises plain ints only; the report's meta block takes the seed too
+        def report_of(dimensions=(2,), seed=1, samples=1000):
+            pattern = CoefficientPattern("equal")
+            records, summary = run_sweep(dimensions, [2], [pattern], samples=samples, seed=seed)
+            return records_to_json(records, seed, __version__, summary, timestamp=False)
+
+        assert report_of(**numpy_int) == report_of()
 
     def test_run_sweep_rejects_budget_below_one(self):
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
@@ -823,8 +859,9 @@ class TestInputErrors:
                 ["verify", "--d", "1", "--patterns", "explicit:0,0"],
                 "coefficients need a positive, finite sum of squares",
             ),
-            (["verify", "--d", "1", "--workers", "0"], "workers must be >= 1, got 0"),
-            (["verify", "--d", "1", "--workers", "-5"], "workers must be >= 1, got -5"),
+            (["verify", "--d", "1", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+            (["verify", "--d", "1", "--workers", "-5"],
+             "argument --workers: must be >= 1, got -5"),
             (
                 ["check", "gauss", "--f", "cosh50", "--coeffs", "1,1", "--d", "3"],
                 "integrand is non-finite",
@@ -947,6 +984,8 @@ class TestInputErrors:
             (["verify", "--d", "2", "--u-linear", "1:1:3"],
              "threshold value 1.0 is repeated; list each value once"),
             (["verify", "--d", "2", "--quantiles", ""], "sweep needs at least one quantile"),
+            (["bound", "--d", "2", "--coeffs", "1", "--u-linear", "1:1:3"],
+             "threshold value 1.0 is repeated; list each value once"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):

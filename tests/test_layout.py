@@ -10,7 +10,9 @@ and every name the package exports is used by the package or the benchmark.
 Each rule that several modules share has one owner: only ``bounds.fsum_inf``
 calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
 u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
-takes that tail, only ``cli._Parser`` parses known arguments, and the
+takes that tail, only ``cli._Parser`` parses known arguments, only
+``sampling._angle_rule`` builds the Gauss-Legendre rule on which
+``sampling.cos_rule`` integrates against the law of C, and the
 messages of the alpha, threshold and command-line usage checks are each
 written once.
 Importing the package loads neither ``scipy.stats``, which it does not
@@ -255,6 +257,12 @@ def test_only_the_bound_owner_takes_the_comparator_tail():
     # a record reads its ratio's denominator from BoundResult.tail, the value
     # the constant multiplies, instead of evaluating the chi tail again
     assert _callers_of("comparator_tail") == [("bounds.py", "comparator_bound")]
+
+
+def test_only_the_sampler_of_c_builds_its_quadrature():
+    # cos_rule integrates against the law that cos_marginal samples, so the
+    # quadrature of C lives beside its sampler and is built in one place
+    assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
 
 
 def test_only_the_parser_class_parses_known_arguments():

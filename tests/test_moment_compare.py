@@ -30,7 +30,7 @@ from spheretail import (
     second_moment_exact,
     softplus_squared,
 )
-from spheretail import moment_compare
+from spheretail import sampling
 from spheretail.moment_compare import majorization_failure
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
@@ -187,7 +187,7 @@ class TestIsBisubharmonic:
         monkeypatch.setattr(
             np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg)
         )
-        moment_compare._angle_rule.cache_clear()
+        sampling._angle_rule.cache_clear()
         for d in (2, 3, 5, 10):  # each check certifies cosh by quadrature
             gaussian_comparison_check(cosh_profile(1.0), (0.6, 0.8), d, samples=1000)
         assert calls == [257]
@@ -415,6 +415,13 @@ class TestLemma2Hypothesis:
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
             lemma2_hypothesis_check(np.array([0.5, -0.1]), 2, [power(2)])
+
+    def test_conclusive_excess_is_violated(self):
+        # xi = 3 has E xi^4 = 81, far above E ||Z_2||^4 = 8, with no spread
+        [res] = lemma2_hypothesis_check(np.full(1000, 3.0), 2, [power(4)])
+        assert res.verdict == "VIOLATED" and res.conclusive
+        assert (res.lhs, res.rhs) == (81.0, 8.0)
+        assert res.note == "empirical mean conclusively exceeds the Gaussian side"
 
 
 class TestKwapien:

@@ -30,7 +30,13 @@ from spheretail import (
 )
 from spheretail.report import CoefficientPattern
 from spheretail import sampling
-from spheretail.sampling import CHUNK_SIZE, cos_marginal, map_sum_norms, mc_tail_batch
+from spheretail.sampling import (
+    CHUNK_SIZE,
+    cos_marginal,
+    cos_rule,
+    map_sum_norms,
+    mc_tail_batch,
+)
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
@@ -100,6 +106,15 @@ class TestSphereSampling:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             cos_marginal(RngStream(1, 0).generator(), 0, 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 100, 1000])
+    def test_rule_integrates_the_moments_of_the_law(self, d):
+        # E C^2 = 1/d and E C^4 = 3 / (d (d + 2)), the moments of the law
+        # cos_marginal samples, and the weights sum to 1
+        nodes, weights = cos_rule(d)
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-15)
+        assert weights @ nodes**2 == pytest.approx(1.0 / d, rel=1e-12)
+        assert weights @ nodes**4 == pytest.approx(3.0 / (d * (d + 2)), rel=1e-12)
 
 
 class TestRadialChain:
