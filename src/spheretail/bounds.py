@@ -50,6 +50,11 @@ def sum_sq(entries: Sequence[float]) -> float:
     return fsum_inf([v * v for v in np.asarray(entries, dtype=float).tolist()])
 
 
+def pow2_above(x: float) -> float:
+    """2^e with 2^(e-1) <= x < 2^e for a finite x > 0, so x / 2^e lies in [1/2, 1)."""
+    return math.ldexp(1.0, math.frexp(x)[1])
+
+
 def check_threshold(u) -> float:
     """Validate a threshold: a finite real, returned as float."""
     u = float(u)
@@ -154,8 +159,12 @@ class BoundResult:
 
 
 def scale(coeffs: Sequence[float], d) -> float:
-    """Comparator scale sqrt((a_1^2 + ... + a_n^2) / d)."""
-    return math.sqrt(sum_sq(coeff_array(coeffs)) / check_dimension(d))
+    """Comparator scale sqrt((a_1^2 + ... + a_n^2) / d), summed over a / s for
+    s = min(pow2_above(max |a_i|), 1), so no square of a tiny vector is subnormal;
+    where every a_i^2 and the sum over d are normal, s changes no bit."""
+    a = coeff_array(coeffs)
+    s = min(pow2_above(np.abs(a).max()), 1.0)
+    return s * math.sqrt(sum_sq(a / s) / check_dimension(d))
 
 
 def comparator_tail(d: int, u: float, s: float) -> float:
@@ -215,9 +224,7 @@ def corollary_bound(
         raise ValueError("radius bounds must all be positive")
     if variant not in ("per_dimension", "as_printed"):
         raise ValueError(f"unknown corollary variant {variant!r}")
-    u = check_threshold(u)
-    sq_scale = sum_sq(b) / (d if variant == "per_dimension" else 1)
-    return comparator_bound(constant, math.sqrt(sq_scale), d, u)
+    return comparator_bound(constant, scale(b, d if variant == "per_dimension" else 1), d, u)
 
 
 def g_lower(d) -> float:

@@ -1,7 +1,8 @@
 """Command-line front end: bound evaluation, verification sweeps, exact
 oracles, comparison checks, and the constants table.  Every parser is a
 ``_Parser`` (``add_subparsers`` passes the class down), which reports the
-arguments it was given and did not consume under its own usage.
+arguments it was given and did not consume under its own usage.  Every CSV
+and JSON it prints is written by ``report.csv_text`` or ``report.json_text``.
 
 Exit codes: 0 all checks hold, 1 a statistically conclusive violation was
 found, 2 usage or input error (overflow included), 3 capacity or budget error.
@@ -10,11 +11,8 @@ found, 2 usage or input error (overflow included), 3 capacity or budget error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
-import json
 import os
 import sys
 from typing import Sequence
@@ -37,11 +35,13 @@ from .moment_compare import (
     second_moment_exact,
 )
 from .report import (
+    CSV_COLUMNS,
     DEFAULT_BUDGET,
     DEFAULT_QUANTILES,
     bound_records,
+    csv_text,
+    json_text,
     parse_pattern_list,
-    records_to_csv,
     records_to_json,
     run_sweep,
 )
@@ -108,7 +108,7 @@ def _emit(text: str, out: str | None) -> None:
 def _write_report(args, records, seed: int = 0, summary=None) -> None:
     """Write the records as --format csv or json to --out or stdout."""
     if args.format == "csv":
-        _emit(records_to_csv(records), args.out)
+        _emit(csv_text(CSV_COLUMNS, [rec.json_dict() for rec in records]), args.out)
     else:
         stamp = not args.no_timestamp
         _emit(records_to_json(records, seed, __version__, summary, stamp), args.out)
@@ -344,8 +344,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # fail before the sweep, not after it has drawn every sample
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        # fail before the sweep, not after it has drawn every sample
         raise FileNotFoundError(f"no directory for --out {args.out!r}")
     records, summary = run_sweep(
         args.d, args.n, parse_pattern_list(args.patterns),
@@ -379,33 +381,23 @@ def cmd_oracle(args) -> int:
 def cmd_check(args) -> int:
     result, violated = args.run(args)
     if args.format == "json":
-        print(json.dumps(result, indent=2, default=str))
+        sys.stdout.write(json_text(result))
     return 1 if violated else 0
 
 
 def cmd_constants(args) -> int:
-    table = constant_table()
-    c3 = get_constant("c3")
-    nt397 = get_constant("nt397")
-    ratio = nt397.value / c3.value
-    rows = [(c.name, c.value, c.note) for c in table]
-    rows.append(("NT397/C3", ratio, "how much smaller the headline constant is"))
+    ratio = get_constant("nt397").value / get_constant("c3").value
+    rows = [{"name": c.name, "value": c.value, "note": c.note} for c in constant_table()]
+    rows.append(
+        {"name": "NT397/C3", "value": ratio, "note": "how much smaller the headline constant is"}
+    )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("name", "value", "note"))
-        writer.writerows((n, repr(v), note) for n, v, note in rows)
-        _emit(buf.getvalue(), args.out)
+        _emit(csv_text(("name", "value", "note"), rows), args.out)
     elif args.format == "json":
-        doc = {
-            "constants": [
-                {"name": n, "value": v, "note": note} for n, v, note in rows
-            ]
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(json_text({"constants": rows}), args.out)
     else:
-        for n, v, note in rows:
-            print(f"{n:<10} {v:<18.12g} {note}")
+        for row in rows:
+            print(f"{row['name']:<10} {row['value']:<18.12g} {row['note']}")
     return 0
 
 

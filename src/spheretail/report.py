@@ -1,7 +1,9 @@
 """Verification sweeps and machine-readable reports (CSV / JSON).
 
-The CSV column order is frozen; reports are byte-deterministic for a fixed
-(flags, seed) pair: floats are serialized with ``repr`` (shortest
+``csv_text`` and ``json_text`` write every CSV and JSON report the package
+prints: sweep and bound records, the constants table and check results.
+The record CSV column order is frozen; reports are byte-deterministic for a
+fixed (flags, seed) pair: floats are serialized with ``repr`` (shortest
 round-trip), and the only nondeterministic field -- the JSON timestamp --
 can be omitted.
 """
@@ -20,14 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundResult,
-    coeff_array,
-    comparator_bound,
-    get_constant,
-    scale,
-    sum_sq,
-)
+from .bounds import BoundResult, coeff_array, comparator_bound, get_constant, scale
 from .gaussian_chi import check_dimension, chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
 
@@ -80,8 +75,7 @@ class CoefficientPattern:
             a = np.asarray(self.values, dtype=float)
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        a = coeff_array(a)
-        return a / math.sqrt(sum_sq(a)) if normalize else a
+        return a / scale(a, 1) if normalize else coeff_array(a)
 
     @property
     def label(self) -> str:
@@ -295,14 +289,19 @@ def run_sweep(
     return records, summary
 
 
-def records_to_csv(records: Sequence[VerificationRecord]) -> str:
+def csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    """A header of COLUMNS, then each dict row's values under them through
+    ``_fmt`` ("" where a row lacks a column): every CSV report's format."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        row = rec.json_dict()
-        writer.writerow([_fmt(row.get(col, "")) for col in CSV_COLUMNS])
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(col, "")) for col in columns] for row in rows)
     return buf.getvalue()
+
+
+def json_text(doc) -> str:
+    """DOC as JSON indented by 2, with a final newline: every JSON report's format."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def records_to_json(
@@ -319,4 +318,4 @@ def records_to_json(
     if summary is not None:
         doc["summary"] = asdict(summary)
     doc["records"] = [rec.json_dict() for rec in records]
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)

@@ -13,8 +13,9 @@ independently of the past (``cos_marginal`` samples its law, ``cos_rule``
 is its quadrature).  The chain starts at R = |a_1| without a draw, so a
 sample costs O(n) time in any dimension.  This form of the update gives
 |R +- a| exactly for d = 1 and keeps a one-coefficient norm exactly |a_1|.
-``_radial_chain`` runs it on the coefficients over a power of two that
-brings the largest below 1 and scales the norms back, so no squared partial
+``_radial_chain`` runs it on the coefficients over the power of two that
+brings the largest below 1 (``bounds.pow2_above``, the rule that
+``bounds.scale`` also uses) and scales the norms back, so no squared partial
 norm overflows; power-of-two scaling is exact unless an intermediate is
 subnormal, so every other norm is bit for bit the unscaled chain's.
 
@@ -49,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import check_threshold, coeff_array
+from .bounds import check_threshold, coeff_array, pow2_above
 from .gaussian_chi import check_dimension
 
 #: fixed Monte Carlo chunk size; part of the reproducibility contract
@@ -179,8 +180,8 @@ def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
 def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:
     """(len(rows), size) samples of ||sum_j rows[i, j] U_j||, where column
     j >= 1 of every row uses the C draws cols[j - 1].  The chain runs on
-    rows / s, s = 2^e > max |rows|, and scales its norms by s."""
-    s = np.ldexp(1.0, np.frexp(np.abs(rows).max())[1])
+    rows / s, s = pow2_above(max |rows|), and scales its norms by s."""
+    s = pow2_above(np.abs(rows).max())
     rows = rows / s
     r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
     for a, c in zip(rows.T[1:, :, None], cols):

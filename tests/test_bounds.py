@@ -1,11 +1,12 @@
 """Tests for the constant catalog and closed-form bound evaluators."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spheretail import (
@@ -78,6 +79,30 @@ class TestScale:
     def test_normalised_equal_coefficients_have_scale_one(self):
         # ten entries of 1/sqrt(10) sum to 1.0 exactly once rounded
         assert scale([1.0 / math.sqrt(10.0)] * 10, 1) == 1.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-520, 520)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 1000),
+    )
+    def test_unscaled_bits_where_every_square_is_normal(self, coeffs, d):
+        # multiplying by a power of two s <= 1 is exact while no square is subnormal
+        squares = [a * a for a in coeffs if a != 0.0]
+        assume(squares and min(squares) >= sys.float_info.min)
+        reference = sum_sq(coeffs) / d
+        assume(sys.float_info.min <= reference < math.inf)
+        assert scale(coeffs, d) == math.sqrt(reference)
+
+    def test_subnormal_squares_keep_full_precision(self):
+        # (1e-160)^2 is subnormal; unscaled, the scale came out 9.99994e-161
+        assert scale([1e-160, 1e-160], 2) == 1e-160
+        # a power of two moves no bit, though these squares are subnormal
+        tiny = [-3e-160, 4e-160]
+        assert scale(tiny, 3) == math.ldexp(scale([math.ldexp(a, 600) for a in tiny], 3), -600)
 
 
 class TestSumOfSquares:

@@ -63,6 +63,22 @@ class TestConstantsCommand:
         assert 3.17 < values["C_STAR"] < 3.18
         assert 88.9 < values["NT397/C3"] < 89.0
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ([], "386f6286e19c0d90c29c027876841ace1c33f3556e1a0c28a47b7cfb7f91ce36"),
+            (["--format", "csv"],
+             "33bee23ecc2059cb8e04fd4eb98884e4b346420f76679a7a6bf68c6c2498bd58"),
+            (["--format", "json"],
+             "029f7fef750d25fc9a5e3874f9374f7ea54dd79ffbf0c194c9ec97fe22358ad6"),
+        ],
+        ids=["table", "csv", "json"],
+    )
+    def test_output_is_pinned(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "constants", *fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_out_into_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         code, _, err = run_cli(capsys, "constants", "--format", "csv", "--out", str(out))
@@ -158,6 +174,15 @@ class TestBoundCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tiny_coefficients_give_the_same_bound(self, capsys):
+        # the bound is scale invariant, and scaling keeps (1e-160)^2 out of the subnormals
+        lines = [
+            run_cli(capsys, "bound", "--d", "2", "--coeffs", f"{a},{a}", "--u", a)[1]
+            for a in ("1", "1e-160")
+        ]
+        assert lines[0].split("raw=")[1] == lines[1].split("raw=")[1] != ""
+        assert "scale=1e-160 " in lines[1]
 
     def test_out_needs_format(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -456,6 +481,18 @@ INVOCATIONS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "argv", [a for a in INVOCATIONS if a[0] == "check"], ids=lambda a: a[1]
+)
+def test_check_json_is_the_report_format(capsys, argv):
+    # the JSON follows the check's line(s); json_text writes every JSON report
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    doc = "".join(lines[next(i for i, line in enumerate(lines) if line[0] in "{["):])
+    assert doc == report.json_text(json.loads(doc))
+
+
 def _subparsers(parser):
     """The subcommand name -> parser map of PARSER ({} if it has none)."""
     actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -638,15 +675,22 @@ class TestVerifyCommand:
         assert 2.9 < max_ratio < get_constant("c3").value
         assert doc["summary"]["violated"] == 0
 
-    def test_out_into_missing_directory_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, message",
+        [("missing/x.csv", "no directory for --out '{}'"), (".", "--out '{}' is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unusable_out_fails_before_sampling(
+        self, capsys, tmp_path, monkeypatch, name, message
+    ):
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sweep drew samples")
 
         monkeypatch.setattr(report, "mc_tail_batch", no_sampling)
-        out = tmp_path / "missing" / "x.csv"
+        out = tmp_path / name
         code, _, err = run_cli(capsys, *self.ARGS, "--format", "csv", "--out", str(out))
         assert code == 2
-        assert f"no directory for --out '{out}'" in err
+        assert message.format(out) in err
 
     def test_out_needs_format_before_sampling(self, capsys, tmp_path, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -12,9 +12,12 @@ calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
 u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
 takes that tail, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
-``sampling.cos_rule`` integrates against the law of C, and the
-messages of the alpha, threshold and command-line usage checks are each
-written once.
+``sampling.cos_rule`` integrates against the law of C, only
+``report.csv_text`` and ``report.json_text`` write CSV and JSON (``cli``
+imports neither ``csv``, ``io`` nor ``json``), only ``bounds.pow2_above``
+picks a power-of-two scaling, every comparator scale goes through
+``bounds.scale``, and the messages of the alpha, threshold and
+command-line usage checks are each written once.
 Importing the package loads neither ``scipy.stats``, which it does not
 need, nor ``scipy.integrate``, which one function needs.
 """
@@ -263,6 +266,36 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
     # cos_rule integrates against the law that cos_marginal samples, so the
     # quadrature of C lives beside its sampler and is built in one place
     assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
+
+
+def test_only_the_report_owner_writes_csv_and_json():
+    # cli, the constants table and the check results print through these two,
+    # so every CSV and JSON report has one format
+    assert _callers_of("writer") == [("report.py", "csv_text")]
+    assert _callers_of("dumps") == [("report.py", "json_text")]
+    imported = {
+        alias.name
+        for node in ast.walk(_tree(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert not imported & {"csv", "io", "json"}
+
+
+def test_only_the_power_of_two_owner_calls_frexp():
+    # the radial chain and the comparator scale divide by the same power of two
+    assert _callers_of("frexp") == [("bounds.py", "pow2_above")]
+
+
+def test_every_comparator_scale_goes_through_scale():
+    # corollary_bound and pattern normalisation call scale, which keeps the
+    # squares of a tiny vector normal; only these sum squares themselves
+    assert _callers_of("sum_sq") == [
+        ("bounds.py", "coeff_array"),
+        ("bounds.py", "scale"),
+        ("moment_compare.py", "is_bisubharmonic_numeric"),
+        ("moment_compare.py", "second_moment_exact"),
+    ]
 
 
 def test_only_the_parser_class_parses_known_arguments():
