@@ -24,14 +24,13 @@ Determinism contract
 Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
-``map_sum_norms`` is the one chunk map that every sample goes through.
-Tasks of one (d, n) draw identical C columns, so a call draws each column
-once per chunk and each task runs its own chain on it; every norm equals
-the one-task call's.
-Workers only map chunks to threads (one pool maps every (group, chunk)
-pair of a ``map_sum_norms`` call), so the drawn sample stream, the hit
-count, and hence the reported estimate are identical for any degree of
-parallelism.
+``map_sum_norms`` is the one chunk map that every sample goes through.  Tasks
+of one d draw identical C columns, and a task of length n reads the first
+n - 1, so a call draws each column once per chunk and each task runs its own
+chain on it; every norm equals the one-task call's.  Workers only map chunks
+to threads (one pool maps every (d, chunk) pair of a ``map_sum_norms`` call),
+so the drawn sample stream, the hit count, and hence the reported estimate
+are identical for any degree of parallelism.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
 verdicts built on them stay conservative even at very small tail
@@ -199,30 +198,31 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     ``rows`` is a stack of equal-length coefficient vectors (one vector
     counts as a stack of one), and norms_k has shape (len(rows), size):
     every row of a task uses the same C draws (common random numbers).
-    Every task draws the same chunk layout, and chunk k of any task draws
-    from ``RngStream(seed, k)``, so tasks of one (d, row length) draw the
-    same C columns: a chunk draws them once, and each task runs its own
-    chain on them.  One pool of ``workers`` threads maps all (group, chunk)
-    pairs, so a batch of short runs keeps every thread busy, and the
-    results do not depend on ``workers``.
+    Every task draws the same chunk layout, and chunk k draws its columns in
+    turn from ``RngStream(seed, k)``, so tasks of one d draw the same C
+    columns, and a task of length n reads the first n - 1: a chunk draws
+    them once per d, and each task runs its own chain on them.  One pool of
+    ``workers`` threads maps all (d, chunk) pairs, so a batch of short runs
+    keeps every thread busy, and the results do not depend on ``workers``.
     """
-    groups: dict[tuple[int, int], list] = {}  # (d, n) -> [(task, fn, rows)]
+    groups: dict[int, list] = {}  # d -> [(task, fn, rows)]
     for i, (fn, a, d) in enumerate(tasks):
         a = np.array(a, dtype=float, ndmin=2)
-        groups.setdefault((check_dimension(d), a.shape[1]), []).append((i, fn, a))
+        groups.setdefault(check_dimension(d), []).append((i, fn, a))
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     full, rem = divmod(n_samples, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    jobs = [(shape, k) for shape in groups for k in range(len(sizes))]
+    jobs = [(d, k) for d in groups for k in range(len(sizes))]
 
-    def chunk(job: tuple[tuple[int, int], int]):
-        (d, n), k = job
+    def chunk(job: tuple[int, int]):
+        d, k = job
         rng = RngStream(seed, k).generator()
+        n = max(a.shape[1] for _, _, a in groups[d])
         cols = [cos_marginal(rng, d, sizes[k]) for _ in range(n - 1)]
-        return [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d, n]]
+        return [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d]]
 
     if workers == 1:
         results = [chunk(job) for job in jobs]

@@ -268,6 +268,20 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
     assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
 
 
+def test_only_the_chunk_map_draws_c_and_runs_the_chain():
+    # one sampling engine: every C column and every radial chain comes from
+    # chunk, the per-(d, chunk) job inside sampling.map_sum_norms
+    assert _callers_of("cos_marginal") == [("sampling.py", "chunk")]
+    assert _callers_of("_radial_chain") == [("sampling.py", "chunk")]
+    [owner] = [
+        node.name
+        for node in ast.walk(_tree(PACKAGE / "sampling.py"))
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(inner, "name", None) == "chunk" for inner in node.body)
+    ]
+    assert owner == "map_sum_norms"
+
+
 def test_only_the_report_owner_writes_csv_and_json():
     # cli, the constants table and the check results print through these two,
     # so every CSV and JSON report has one format

@@ -145,6 +145,19 @@ class TestRadialChain:
         assert est.hits == 0
 
 
+@pytest.fixture
+def cos_draws(monkeypatch):
+    """The d of every ``cos_marginal`` call the engine makes, in order."""
+    calls = []
+
+    def counting(rng, d, size):
+        calls.append(d)
+        return cos_marginal(rng, d, size)
+
+    monkeypatch.setattr(sampling, "cos_marginal", counting)
+    return calls
+
+
 class TestMcTail:
     def test_single_vector_trivial_cases(self):
         for d in (1, 2, 6):
@@ -159,9 +172,9 @@ class TestMcTail:
             assert other.p_hat == base.p_hat
 
     def test_batch_matches_one_instance_calls(self):
-        # one pool maps every (group, chunk) pair; each instance keeps its
-        # own stream, here two chunks with the last one partial.  The (3, 3)
-        # instances share one chain although their power-of-two scales
+        # one pool maps every (d, chunk) pair; each instance keeps its own
+        # stream, here two chunks with the last one partial.  The d = 3
+        # instances share their columns although their power-of-two scales
         # differ by 2^1500, and the last one repeats an earlier vector.
         instances = [
             (1, (1.0, 1.0), [0.5, 1.9]),
@@ -193,21 +206,40 @@ class TestMcTail:
                 assert [c.shape for c in chunks] == [e.shape for e in expected]
                 assert all(np.array_equal(c, e) for c, e in zip(chunks, expected))
 
-    def test_each_shape_draws_its_cosines_once(self, monkeypatch):
-        # instances of one (d, n) draw the same C columns, so a chunk draws
-        # them once per (d, n): n - 1 columns per (d, n) group and chunk
-        calls = []
+    def test_tasks_of_one_dimension_read_a_prefix_of_its_columns(self, cos_draws):
+        # a task of length n reads the first n - 1 of the columns its d
+        # draws, so it sees the same C values whether the longest task of
+        # its d has length n or 10; the length-3 rows span 2^1500 in scale
+        tasks = [
+            (np.copy, [2.0], 5),
+            (np.copy, [1.0, 1.0], 5),
+            (np.copy, (4e153,) * 3, 5),
+            (np.copy, [1e-300, 3.0, 1.0], 5),
+            (np.copy, [[1.0, 2.0, 3.0], [0.5, 0.5, 4e153]], 5),
+            (np.copy, np.linspace(0.1, 1.0, 10), 5),
+            (np.copy, [[3.0], [0.25]], 4),
+        ]
+        n = 2 * CHUNK_SIZE + 7
+        alone = [map_sum_norms([task], n, seed=8)[0] for task in tasks]
+        for workers in (1, 2, 3):
+            together = map_sum_norms(tasks, n, seed=8, workers=workers)
+            for chunks, expected in zip(together, alone, strict=True):
+                assert [c.shape for c in chunks] == [e.shape for e in expected]
+                assert all(np.array_equal(c, e) for c, e in zip(chunks, expected))
+        # the d = 5 tasks share 9 columns per chunk, and the d = 4 group,
+        # whose rows all have length 1, draws none
+        cos_draws.clear()
+        map_sum_norms(tasks, n, seed=8, workers=2)
+        assert cos_draws == [5] * 9 * 3
 
-        def counting(rng, d, size):
-            calls.append(d)
-            return cos_marginal(rng, d, size)
-
-        monkeypatch.setattr(sampling, "cos_marginal", counting)
+    def test_each_dimension_draws_its_cosines_once(self, cos_draws):
+        # instances of one d draw the same C columns, so a chunk draws them
+        # once per d: max(n) - 1 columns per d and chunk
         patterns = [CoefficientPattern(k) for k in ("equal", "single", "geometric")]
         dims, ns, chunks = (2, 5), (1, 2, 5), 2
         instances = [(d, p.materialize(n), [0.5]) for d in dims for n in ns for p in patterns]
         mc_tail_batch(instances, chunks * CHUNK_SIZE, seed=0, workers=2)
-        assert len(calls) == len(dims) * sum(n - 1 for n in ns) * chunks
+        assert len(cos_draws) == len(dims) * (max(ns) - 1) * chunks
 
     def test_batch_checks_workers_before_the_pool(self):
         with pytest.raises(ValueError, match=r"workers must be >= 1, got 0"):
