@@ -135,18 +135,23 @@ def judge(low: float, high: float, floor: float = 0.0) -> str:
 def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     """``size`` draws of C, one coordinate of a uniform unit vector in R^d.
 
-    C is +-1 for d = 1, the cosine of a uniform angle for d = 2, uniform on
-    [-1, 1] for d = 3 (Archimedes) and 2 Beta((d-1)/2, (d-1)/2) - 1 in
-    general.  The d <= 3 branches draw the same laws faster than numpy's
-    beta sampler does.
+    C is +-1 for d = 1 (eight signs per random byte), the cosine of a uniform
+    angle for d = 2, uniform on [-1, 1] for d = 3 (Archimedes), cbrt(V) W for
+    d = 5 (V uniform on [0, 1), W uniform on [-1, 1]: the first three
+    coordinates have squared norm Beta(3/2, 1) and an independent uniform
+    direction) and 2 Beta((d-1)/2, (d-1)/2) - 1 in general.  The branches
+    draw the same laws faster than numpy's beta sampler does.
     """
     d = check_dimension(d)
     if d == 1:
-        return 2.0 * rng.integers(0, 2, size) - 1.0
+        bits = np.unpackbits(rng.integers(0, 256, -(-size // 8), dtype=np.uint8))
+        return np.array([-1.0, 1.0])[bits[:size]]
     if d == 2:
         return np.cos(math.pi * rng.random(size))
     if d == 3:
         return rng.uniform(-1.0, 1.0, size)
+    if d == 5:
+        return np.cbrt(rng.random(size)) * rng.uniform(-1.0, 1.0, size)
     half = 0.5 * (d - 1)
     return 2.0 * rng.beta(half, half, size) - 1.0
 
@@ -179,11 +184,15 @@ def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
 def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:
     """(len(rows), size) samples of ||sum_j rows[i, j] U_j||, where column
     j >= 1 of every row uses the C draws cols[j - 1].  The chain runs on
-    rows / s, s = pow2_above(max |rows|), and scales its norms by s."""
+    rows / s, s = pow2_above(max |rows|), and scales its norms by s.  A zero
+    step maps R to sqrt(fl(R^2)) = R while R^2 is a normal double, so it is
+    skipped if min R >= 2^-511."""
     s = pow2_above(np.abs(rows).max())
     rows = rows / s
     r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
     for a, c in zip(rows.T[1:, :, None], cols):
+        if not a.any() and r.min() >= 2.0**-511:
+            continue
         r += a * c
         r *= r
         r += (a * a) * (1.0 - c * c)

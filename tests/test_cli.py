@@ -840,7 +840,7 @@ class TestVerifyCommand:
         [
             (
                 ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric"],
-                "ccdd94ded69780e253f1abf0d665cad5c96b3cd35744f281b359edd6f7bacf65",
+                "c8341d13eebd1622f1231cd87af764d82b227603bdd64ba697934e512928cc43",
             ),
             (
                 # extreme scales sharing (d, n) = (2, 5) with equal
@@ -866,7 +866,7 @@ class TestVerifyCommand:
             (
                 ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric",
                  "--samples", "40000", "--workers", "2"],
-                "2d9b70b67ced9f925a22131a81522945663e0571b1bd74efd31d31998b155213",
+                "a39a4493a6ad76cce9da5f518295f62f92066a0a17ed4c3a56f9ef84e2562ba2",
             ),
             (
                 # the comparator tail underflows at u = 30 and 60: ratio_upper Infinity

@@ -28,6 +28,7 @@ from spheretail import (
     sample_sum_norms,
     second_moment_exact,
 )
+from spheretail.bounds import pow2_above
 from spheretail.report import CoefficientPattern
 from spheretail import sampling
 from spheretail.sampling import (
@@ -76,11 +77,25 @@ def gaussian_reference_norms(coeffs, d, n_samples, seed, step=50_000):
     return np.concatenate(out)
 
 
+def reference_chain(rows, cols, size):
+    """The radial chain with no step skipped: the reference that
+    ``sampling._radial_chain`` must equal bit for bit."""
+    s = pow2_above(np.abs(rows).max())
+    rows = rows / s
+    r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
+    for a, c in zip(rows.T[1:, :, None], cols):
+        r += a * c
+        r *= r
+        r += (a * a) * (1.0 - c * c)
+        np.sqrt(r, out=r)
+    return r * s
+
+
 class TestSphereSampling:
     """The law of C, one coordinate of a uniform unit vector in R^d."""
 
     def test_values_lie_in_unit_interval(self):
-        for d in (1, 2, 3, 7, 40):
+        for d in (1, 2, 3, 4, 5, 7, 40):
             c = cos_marginal(RngStream(123, d).generator(), d, 10_000)
             assert c.shape == (10_000,)
             assert np.all(np.abs(c) <= 1.0)
@@ -88,6 +103,30 @@ class TestSphereSampling:
     def test_d1_is_two_point(self):
         values = set(cos_marginal(RngStream(5, 0).generator(), 1, 64).tolist())
         assert values == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 70_001])
+    def test_d1_draws_exactly_size_balanced_signs(self, size):
+        # eight signs come from each random byte, so sizes around a multiple
+        # of 8 must still give exactly ``size`` values, half of them +1
+        c = cos_marginal(RngStream(11, size).generator(), 1, size)
+        assert c.shape == (size,)
+        assert set(c.tolist()) <= {-1.0, 1.0}
+        assert stats.binomtest(int(np.count_nonzero(c > 0)), size).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_draws_follow_the_beta_law(self, d):
+        # d = 5 draws cbrt(V) W, d = 4 numpy's Beta sampler: both must have
+        # the law 2 Beta((d-1)/2, (d-1)/2) - 1
+        c = cos_marginal(RngStream(2024, d).generator(), d, 1_000_000)
+        law = stats.beta((d - 1) / 2, (d - 1) / 2, loc=-1.0, scale=2.0)
+        assert stats.kstest(c, law.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_fourth_moment(self, d):
+        # E C^4 = 3 / (d (d + 2)), the fourth moment of the Beta law
+        c4 = cos_marginal(RngStream(9, d).generator(), d, 1_000_000) ** 4
+        se = c4.std(ddof=1) / math.sqrt(c4.size)
+        assert abs(c4.mean() - 3.0 / (d * (d + 2))) <= 5.0 * se
 
     def test_d3_first_coordinate_uniform(self):
         # Archimedes: the first coordinate of a uniform point on S^2 is
@@ -130,6 +169,25 @@ class TestRadialChain:
         for d in (1, 2, 3, 5, 30):
             assert np.all(sample_sum_norms([-0.7], d, 5000, seed=d) == 0.7)
             assert np.all(sample_sum_norms(single, d, 5000, seed=d) == 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_skipped_zero_steps_match_the_reference_step(self, d):
+        # zero coefficients inside and at the end of a row or of a stack,
+        # the single pattern, and rows whose R^2 underflows before a zero
+        # step, so that step must run; in the last stack it changes a norm
+        rows = [
+            [[0.5, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
+            [CoefficientPattern("single").materialize(10)],
+            [[1.0, 2.0, 0.0, 3.0, 0.0], [0.5, 0.0, 0.0, 4e153, 0.0]],
+            [[1e-300, 0.0, 3.0]],
+            [[0.0, 0.0, 1.0]],
+            [[1e-160, 0.0], [3.0, 0.0]],
+        ]
+        size = 5000
+        rng = RngStream(31, d).generator()
+        cols = [cos_marginal(rng, d, size) for _ in range(9)]
+        for a in map(np.array, rows):
+            assert np.array_equal(sampling._radial_chain(a, cols, size), reference_chain(a, cols, size))
 
     def test_norms_whose_square_overflows(self):
         # partial norms up to 10 * 2^510 square past the largest double; a
