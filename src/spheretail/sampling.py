@@ -135,19 +135,28 @@ def judge(low: float, high: float, floor: float = 0.0) -> str:
 def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     """``size`` draws of C, one coordinate of a uniform unit vector in R^d.
 
-    C is +-1 for d = 1 (eight signs per random byte), the cosine of a uniform
-    angle for d = 2, uniform on [-1, 1] for d = 3 (Archimedes), cbrt(V) W for
-    d = 5 (V uniform on [0, 1), W uniform on [-1, 1]: the first three
-    coordinates have squared norm Beta(3/2, 1) and an independent uniform
-    direction) and 2 Beta((d-1)/2, (d-1)/2) - 1 in general.  The branches
-    draw the same laws faster than numpy's beta sampler does.
+    C is +-1 for d = 1 (eight signs per random byte), uniform on [-1, 1] for
+    d = 3 (Archimedes), cbrt(V) W for d = 5 (V uniform on [0, 1), W uniform
+    on [-1, 1]: the first three coordinates have squared norm Beta(3/2, 1)
+    and an independent uniform direction), cos(pi U) sqrt(1 - (1-V)^(2/(d-2)))
+    at even d (S^(d-1) is the unit sphere of C^(d/2): the first complex
+    coordinate has a uniform phase and squared modulus Beta(1, (d-2)/2)),
+    else 2 Beta((d-1)/2, (d-1)/2) - 1, which numpy's slower sampler draws.
     """
     d = check_dimension(d)
     if d == 1:
         bits = np.unpackbits(rng.integers(0, 256, -(-size // 8), dtype=np.uint8))
         return np.array([-1.0, 1.0])[bits[:size]]
-    if d == 2:
-        return np.cos(math.pi * rng.random(size))
+    if d % 2 == 0:
+        c = rng.random(size)
+        c *= math.pi
+        np.cos(c, out=c)
+        if d > 2:
+            b = np.negative(rng.random(size))
+            np.log1p(b, out=b)  # log1p(-V) is finite at V = 0, log(V) is not
+            np.expm1(np.multiply(b, 2.0 / (d - 2), out=b), out=b)
+            c *= np.sqrt(np.negative(b, out=b), out=b)
+        return c
     if d == 3:
         return rng.uniform(-1.0, 1.0, size)
     if d == 5:

@@ -848,8 +848,13 @@ class TestVerifyCommand:
                  "equal,explicit:4e153,4e153,4e153,4e153,4e153,explicit:1e-300,3,1,2,0.5"],
                 "9844e25d1e0dfd4d74d8fe789b1ebcc4b1eb6aefafa13136fe35dfc4abf7d5e0",
             ),
+            (
+                # even d >= 4 draws C in closed form; d = 30 is a highdim column
+                ["--d", "4,6,10,30", "--n", "1,2,5", "--patterns", "equal,single,geometric"],
+                "7bc46d038686aac1f74387bd93516f57ba63c7aeabe8e1a688f365e1083f36ab",
+            ),
         ],
-        ids=["grid", "extreme-scales"],
+        ids=["grid", "extreme-scales", "even-d"],
     )
     def test_sample_stream_is_pinned(self, capsys, argv, digest):
         # a change of the Monte Carlo sample stream must edit these digests

@@ -8,6 +8,7 @@ the exact oracles and for worker-count independence.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +96,7 @@ class TestSphereSampling:
     """The law of C, one coordinate of a uniform unit vector in R^d."""
 
     def test_values_lie_in_unit_interval(self):
-        for d in (1, 2, 3, 4, 5, 7, 40):
+        for d in (1, 2, 3, 4, 5, 6, 7, 10, 40, 100):
             c = cos_marginal(RngStream(123, d).generator(), d, 10_000)
             assert c.shape == (10_000,)
             assert np.all(np.abs(c) <= 1.0)
@@ -113,20 +114,38 @@ class TestSphereSampling:
         assert set(c.tolist()) <= {-1.0, 1.0}
         assert stats.binomtest(int(np.count_nonzero(c > 0)), size).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 10, 30, 100])
     def test_draws_follow_the_beta_law(self, d):
-        # d = 5 draws cbrt(V) W, d = 4 numpy's Beta sampler: both must have
-        # the law 2 Beta((d-1)/2, (d-1)/2) - 1
+        # even d draws cos(pi U) sqrt(B), d = 5 cbrt(V) W and d = 7 numpy's
+        # Beta sampler: all must have the law 2 Beta((d-1)/2, (d-1)/2) - 1
         c = cos_marginal(RngStream(2024, d).generator(), d, 1_000_000)
         law = stats.beta((d - 1) / 2, (d - 1) / 2, loc=-1.0, scale=2.0)
         assert stats.kstest(c, law.cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 10, 30, 100])
     def test_fourth_moment(self, d):
         # E C^4 = 3 / (d (d + 2)), the fourth moment of the Beta law
         c4 = cos_marginal(RngStream(9, d).generator(), d, 1_000_000) ** 4
         se = c4.std(ddof=1) / math.sqrt(c4.size)
         assert abs(c4.mean() - 3.0 / (d * (d + 2))) <= 5.0 * se
+
+    def test_d2_is_the_cosine_of_a_uniform_angle(self):
+        # the even-d branch draws the angle first, so d = 2 keeps this stream
+        c = cos_marginal(RngStream(3, 2).generator(), 2, 70_001)
+        angle = math.pi * RngStream(3, 2).generator().random(70_001)
+        assert np.array_equal(c, np.cos(angle))
+
+    @pytest.mark.parametrize("d", [4, 10, 100])
+    def test_even_d_at_the_ends_of_the_uniforms(self, d):
+        # U and V at 0, just below 1 and at 1/2: log(V) would warn at V = 0
+        class EdgeUniforms:
+            def random(self, size):
+                return np.resize([0.0, np.nextafter(1.0, 0.0), 0.5], size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cos_marginal(EdgeUniforms(), d, 3)
+        assert np.all(np.isfinite(c)) and np.all(np.abs(c) <= 1.0)
 
     def test_d3_first_coordinate_uniform(self):
         # Archimedes: the first coordinate of a uniform point on S^2 is
@@ -157,7 +176,7 @@ class TestSphereSampling:
 
 
 class TestRadialChain:
-    @pytest.mark.parametrize("d, n", [(2, 3), (5, 4), (30, 3)])
+    @pytest.mark.parametrize("d, n", [(2, 3), (4, 3), (5, 4), (10, 4), (30, 3)])
     def test_matches_gaussian_reference(self, d, n):
         coeffs = np.linspace(1.0, 0.4, n)
         chain = sample_sum_norms(coeffs, d, 1_000_000, seed=d)
