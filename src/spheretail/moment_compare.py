@@ -336,11 +336,12 @@ def is_bisubharmonic_numeric(
     (for pure powers 2 and 4 the margin is then exact); a triple is a *fail*
     only when its 99% confidence interval sits entirely below -atol, a *pass*
     when it sits entirely above, and *inconclusive* otherwise -- wide
-    intervals are never reported as a pass.  atol is 1e-9 times the profile
-    scale.  method="quadrature" integrates h over ||y + U sqrt t||^2 =
-    |y|^2 + t + 2 sqrt(t) |y| C with ``sampling.cos_rule`` instead; ``check
-    bisub`` and the certification of comparison profiles decide by it, and
-    the Monte Carlo default is the reference it is cross-checked against.
+    intervals are never reported as a pass.  A centre's atol is 1e-9 times
+    its own profile scale, so a large centre hides no failure at a small one
+    (the report keeps the largest).  method="quadrature" integrates h over
+    ||y + U sqrt t||^2 = |y|^2 + t + 2 sqrt(t) |y| C with ``sampling.cos_rule``
+    instead; ``check bisub`` and the certification of comparison profiles
+    decide by it, and the Monte Carlo default is its cross-check.
     """
     d = check_dimension(d)
     ts = np.asarray(
@@ -353,8 +354,9 @@ def is_bisubharmonic_numeric(
     norms = [math.sqrt(sum_sq(np.atleast_1d(y))) for y in y_set]
     if not norms:
         raise ValueError("y_set must be nonempty")
-    if not all(map(math.isfinite, norms)):
+    if not all(np.isfinite(np.atleast_1d(y)).all() for y in y_set):
         raise ValueError(f"centre norms must be finite, got {norms}")
+    _finite(norms, "the squared norm of a centre")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -370,17 +372,17 @@ def is_bisubharmonic_numeric(
         ses = np.zeros_like(margins)
     else:
         profiles, margins, ses = _bisub_mc(fn, d, norms, ts, max(2, samples // 2), seed)
-    atol = 1e-9 * max(1.0, float(np.abs(profiles).max()))
+    atols = 1e-9 * np.maximum(1.0, np.abs(profiles).max(axis=1))
     z = _z(0.01)
     triples = tuple(
         BisubTriple(
             y, *ts[j : j + 3].tolist(), m, s, _BISUB_STATUS[judge(m - z * s, m + z * s, -atol)]
         )
-        for y, m_row, s_row in zip(norms, margins.tolist(), ses.tolist())
+        for y, atol, m_row, s_row in zip(norms, atols.tolist(), margins.tolist(), ses.tolist())
         for j, (m, s) in enumerate(zip(m_row, s_row))
     )
     overall = max((t.status for t in triples), key=list(_BISUB_STATUS.values()).index)
-    return BisubReport(overall, triples, method, atol)
+    return BisubReport(overall, triples, method, float(atols.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ independently of the past (``cos_marginal`` samples its law, ``cos_rule``
 is its quadrature).  The chain starts at R = |a_1| without a draw, so a
 sample costs O(n) time in any dimension.  This form of the update gives
 |R +- a| exactly for d = 1 and keeps a one-coefficient norm exactly |a_1|.
-``_radial_chain`` runs it on the coefficients over the power of two that
-brings the largest below 1 (``bounds.pow2_above``, the rule that
-``bounds.scale`` also uses) and scales the norms back, so no squared partial
-norm overflows; power-of-two scaling is exact unless an intermediate is
-subnormal, so every other norm is bit for bit the unscaled chain's.
+``_radial_chain`` runs each row on its coefficients over the power of two
+that brings its largest below 1 (``bounds.pow2_above``, the rule that
+``bounds.scale`` also uses) and scales its norms back, so no squared partial
+norm overflows; a zero coefficient is no step at all, so it leaves R exact.
+Each row's norms are therefore bit for bit its one-row call's.
 
 Determinism contract
 --------------------
@@ -138,31 +138,28 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     C is +-1 for d = 1 (eight signs per random byte), uniform on [-1, 1] for
     d = 3 (Archimedes), cbrt(V) W for d = 5 (V uniform on [0, 1), W uniform
     on [-1, 1]: the first three coordinates have squared norm Beta(3/2, 1)
-    and an independent uniform direction), cos(pi U) sqrt(1 - (1-V)^(2/(d-2)))
-    at even d (S^(d-1) is the unit sphere of C^(d/2): the first complex
-    coordinate has a uniform phase and squared modulus Beta(1, (d-2)/2)),
-    else 2 Beta((d-1)/2, (d-1)/2) - 1, which numpy's slower sampler draws.
+    and an independent uniform direction), and cos(pi U) sqrt(B) at every
+    other d: the first two coordinates of a uniform point on S^(d-1) have a
+    uniform angle and an independent squared norm B ~ Beta(1, (d-2)/2),
+    drawn as its quantile 1 - (1-V)^(2/(d-2)) (B = 1 at d = 2).
     """
     d = check_dimension(d)
     if d == 1:
         bits = np.unpackbits(rng.integers(0, 256, -(-size // 8), dtype=np.uint8))
         return np.array([-1.0, 1.0])[bits[:size]]
-    if d % 2 == 0:
-        c = rng.random(size)
-        c *= math.pi
-        np.cos(c, out=c)
-        if d > 2:
-            b = np.negative(rng.random(size))
-            np.log1p(b, out=b)  # log1p(-V) is finite at V = 0, log(V) is not
-            np.expm1(np.multiply(b, 2.0 / (d - 2), out=b), out=b)
-            c *= np.sqrt(np.negative(b, out=b), out=b)
-        return c
     if d == 3:
         return rng.uniform(-1.0, 1.0, size)
     if d == 5:
         return np.cbrt(rng.random(size)) * rng.uniform(-1.0, 1.0, size)
-    half = 0.5 * (d - 1)
-    return 2.0 * rng.beta(half, half, size) - 1.0
+    c = rng.random(size)
+    c *= math.pi
+    np.cos(c, out=c)
+    if d > 2:
+        b = np.negative(rng.random(size))
+        np.log1p(b, out=b)  # log1p(-V) is finite at V = 0, log(V) is not
+        np.expm1(np.multiply(b, 2.0 / (d - 2), out=b), out=b)
+        c *= np.sqrt(np.negative(b, out=b), out=b)
+    return c
 
 
 @functools.cache
@@ -192,22 +189,23 @@ def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
 
 def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:
     """(len(rows), size) samples of ||sum_j rows[i, j] U_j||, where column
-    j >= 1 of every row uses the C draws cols[j - 1].  The chain runs on
-    rows / s, s = pow2_above(max |rows|), and scales its norms by s.  A zero
-    step maps R to sqrt(fl(R^2)) = R while R^2 is a normal double, so it is
-    skipped if min R >= 2^-511."""
-    s = pow2_above(np.abs(rows).max())
-    rows = rows / s
-    r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
-    for a, c in zip(rows.T[1:, :, None], cols):
-        if not a.any() and r.min() >= 2.0**-511:
-            continue
-        r += a * c
-        r *= r
-        r += (a * a) * (1.0 - c * c)
-        np.sqrt(r, out=r)
-    r *= s
-    return r
+    j >= 1 of every row uses the C draws cols[j - 1].  Each row runs on its
+    own row / s, s = pow2_above(max |row|), skipping its zero steps (which
+    would only round a tiny R^2 into the subnormals), and scales its norms
+    by s, so no row's norms depend on the rows stacked with it."""
+    out = np.empty((len(rows), size))
+    for row, r in zip(rows, out):
+        s = pow2_above(np.abs(row).max())
+        row = row / s
+        r[:] = abs(row[0])
+        for a, c in zip(row[1:], cols):
+            if a:
+                r += a * c
+                r *= r
+                r += (a * a) * (1.0 - c * c)
+                np.sqrt(r, out=r)
+        r *= s
+    return out
 
 
 def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[list]:

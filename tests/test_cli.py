@@ -262,6 +262,14 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "bisub", "--f", "neg_power4", "--d", "3")
         assert code == 1 and "fail" in out
 
+    @pytest.mark.parametrize("y_norms", ["0", "0,1e8"])
+    def test_bisub_fails_beside_a_large_centre(self, capsys, y_norms):
+        # the failure at y = 0 stands whatever the other centres' sizes
+        code, out, _ = run_cli(capsys, "check", "bisub", "--f", "power1", "--d", "3",
+                               "--y-norms", y_norms)
+        assert code == 1
+        assert out == "power1 (d=3): fail (min margin=-0.0681483, method=quadrature)\n"
+
     def test_bisub_is_decided_by_quadrature(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "bisub", "--f", "cosh", "--d", "5", "--y-norms", "0,1.5",
@@ -1035,6 +1043,9 @@ class TestInputErrors:
             (["verify", "--d", "2", "--quantiles", ""], "sweep needs at least one quantile"),
             (["bound", "--d", "2", "--coeffs", "1", "--u-linear", "1:1:3"],
              "threshold value 1.0 is repeated; list each value once"),
+            # a finite centre whose square overflows is not called non-finite
+            (["check", "bisub", "--f", "power1", "--d", "3", "--y-norms", "1,1e200"],
+             "the squared norm of a centre overflows double precision"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):

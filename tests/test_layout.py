@@ -3,7 +3,8 @@
 No module imports a private (single-underscore) name from a sibling, no
 module other than ``__init__`` imports a name it never uses, and no module
 other than ``sampling`` touches a random-number source: every Monte Carlo
-sample comes from its engine.  Every package name the benchmark under
+sample comes from its engine, which draws only uniforms and random bytes.
+Every package name the benchmark under
 ``perfbench/`` calls or traces exists, and every call it makes binds to the
 signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
@@ -30,6 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +108,21 @@ def test_only_sampling_draws_random_numbers(path):
             continue
         uses += [f"line {node.lineno}: {name}" for name in names if name in RANDOM_NAMES]
     assert not uses, f"{path.name} draws random numbers outside the engine: {uses}"
+
+
+def test_sampling_draws_only_uniforms_and_bytes():
+    # every law of C is a closed form of uniforms (or random bytes at d = 1),
+    # so a second sampler path, such as numpy's Beta, cannot come back
+    # without a benchmark to pay for it
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    called = {
+        node.func.attr
+        for node in ast.walk(_tree(PACKAGE / "sampling.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    extra = sorted(called & methods - {"random", "uniform", "integers"})
+    assert "random" in called
+    assert not extra, f"sampling.py draws through Generator.{extra}"
 
 
 def _spheretail_aliases(tree: ast.Module) -> dict[str, str]:

@@ -219,6 +219,23 @@ class TestIsBisubharmonic:
         mc = is_bisubharmonic_numeric(fn, d, seed=0)
         assert is_bisubharmonic_numeric(fn, d, method="quadrature").status == mc.status
 
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    def test_a_large_centre_hides_no_failure_at_a_small_one(self, method):
+        # |x| in R^3 is not bisubharmonic at y = 0 (margin -0.068); each
+        # centre's tolerance comes from its own profile, so the profile of
+        # size 1e8 at the second centre does not lift the first one's to 0.1
+        alone = is_bisubharmonic_numeric(power(1), 3, y_set=[0.0], method=method)
+        both = is_bisubharmonic_numeric(power(1), 3, y_set=[0.0, 1e8], method=method)
+        assert alone.status == both.status == "fail"
+        assert both.triples[: len(alone.triples)] == alone.triples
+        # at y = 0 the profile is sqrt t <= 2; the report keeps the largest atol
+        assert alone.atol == 2e-9 and both.atol > 0.09
+
+    def test_centre_whose_square_overflows_is_named(self):
+        for y in (1e200, [1e154, 1e154]):
+            with pytest.raises(ValueError, match="^the squared norm of a centre overflows"):
+                is_bisubharmonic_numeric(power(2), 3, y_set=[1.0, y], method="quadrature")
+
     def test_mc_overflow_rejected(self):
         with pytest.raises(ValueError, match="a Monte Carlo mean or its error overflows"):
             is_bisubharmonic_numeric(

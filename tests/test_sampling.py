@@ -79,17 +79,19 @@ def gaussian_reference_norms(coeffs, d, n_samples, seed, step=50_000):
 
 
 def reference_chain(rows, cols, size):
-    """The radial chain with no step skipped: the reference that
-    ``sampling._radial_chain`` must equal bit for bit."""
-    s = pow2_above(np.abs(rows).max())
-    rows = rows / s
-    r = np.repeat(np.abs(rows[:, :1]), size, axis=1)
-    for a, c in zip(rows.T[1:, :, None], cols):
-        r += a * c
-        r *= r
-        r += (a * a) * (1.0 - c * c)
-        np.sqrt(r, out=r)
-    return r * s
+    """The radial chain of each row alone: the row over its own power of two,
+    its zero coefficients dropped with their C columns, and every other step
+    run.  ``sampling._radial_chain`` must equal it bit for bit."""
+    out = []
+    for row in rows:
+        s = pow2_above(np.abs(row).max())
+        steps = [(a / s, c) for a, c in zip(row[1:], cols) if a != 0.0]
+        r = np.full(size, abs(row[0]) / s)
+        for a, c in steps:
+            t = r + a * c
+            r = np.sqrt(t * t + (a * a) * (1.0 - c * c))
+        out.append(r * s)
+    return np.array(out)
 
 
 class TestSphereSampling:
@@ -114,15 +116,15 @@ class TestSphereSampling:
         assert set(c.tolist()) <= {-1.0, 1.0}
         assert stats.binomtest(int(np.count_nonzero(c > 0)), size).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5, 6, 7, 10, 30, 100])
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
     def test_draws_follow_the_beta_law(self, d):
-        # even d draws cos(pi U) sqrt(B), d = 5 cbrt(V) W and d = 7 numpy's
-        # Beta sampler: all must have the law 2 Beta((d-1)/2, (d-1)/2) - 1
+        # d = 5 draws cbrt(V) W and every other d here cos(pi U) sqrt(B):
+        # all must have the law 2 Beta((d-1)/2, (d-1)/2) - 1
         c = cos_marginal(RngStream(2024, d).generator(), d, 1_000_000)
         law = stats.beta((d - 1) / 2, (d - 1) / 2, loc=-1.0, scale=2.0)
         assert stats.kstest(c, law.cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5, 6, 7, 10, 30, 100])
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
     def test_fourth_moment(self, d):
         # E C^4 = 3 / (d (d + 2)), the fourth moment of the Beta law
         c4 = cos_marginal(RngStream(9, d).generator(), d, 1_000_000) ** 4
@@ -130,13 +132,13 @@ class TestSphereSampling:
         assert abs(c4.mean() - 3.0 / (d * (d + 2))) <= 5.0 * se
 
     def test_d2_is_the_cosine_of_a_uniform_angle(self):
-        # the even-d branch draws the angle first, so d = 2 keeps this stream
+        # the closed form draws the angle first, so d = 2 keeps this stream
         c = cos_marginal(RngStream(3, 2).generator(), 2, 70_001)
         angle = math.pi * RngStream(3, 2).generator().random(70_001)
         assert np.array_equal(c, np.cos(angle))
 
-    @pytest.mark.parametrize("d", [4, 10, 100])
-    def test_even_d_at_the_ends_of_the_uniforms(self, d):
+    @pytest.mark.parametrize("d", [4, 7, 10, 100, 101])
+    def test_closed_form_at_the_ends_of_the_uniforms(self, d):
         # U and V at 0, just below 1 and at 1/2: log(V) would warn at V = 0
         class EdgeUniforms:
             def random(self, size):
@@ -192,8 +194,8 @@ class TestRadialChain:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_skipped_zero_steps_match_the_reference_step(self, d):
         # zero coefficients inside and at the end of a row or of a stack,
-        # the single pattern, and rows whose R^2 underflows before a zero
-        # step, so that step must run; in the last stack it changes a norm
+        # the single pattern, rows whose R^2 would underflow in a zero step,
+        # and stacks whose rows differ in scale by up to 2^1000
         rows = [
             [[0.5, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
             [CoefficientPattern("single").materialize(10)],
@@ -201,12 +203,34 @@ class TestRadialChain:
             [[1e-300, 0.0, 3.0]],
             [[0.0, 0.0, 1.0]],
             [[1e-160, 0.0], [3.0, 0.0]],
+            [[1e-300, 0.0], [3.0, 0.0]],
         ]
         size = 5000
         rng = RngStream(31, d).generator()
         cols = [cos_marginal(rng, d, size) for _ in range(9)]
         for a in map(np.array, rows):
             assert np.array_equal(sampling._radial_chain(a, cols, size), reference_chain(a, cols, size))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10])
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            [[1e-160, 0.0], [3.0, 0.0]],
+            [[1e-300, 0.0], [3.0, 0.0]],
+            [[1.0, 2.0, 0.0, 3.0, 0.0], [0.5, 0.0, 0.0, 4e153, 0.0]],
+        ],
+        ids=["1e-160", "1e-300", "4e153"],
+    )
+    def test_each_row_of_a_stack_is_its_one_row_call(self, stack, d):
+        # a row keeps its own scale and skips its own zero steps, so the
+        # rows stacked with it change none of its norms
+        n = CHUNK_SIZE + 5000
+        [together] = map_sum_norms([(np.copy, stack, d)], n, seed=12)
+        for i, row in enumerate(stack):
+            [alone] = map_sum_norms([(np.copy, row, d)], n, seed=12)
+            assert all(np.array_equal(t[i], a[0]) for t, a in zip(together, alone, strict=True))
+        if stack[0][1:] == [0.0]:  # a constant norm, whatever its size
+            assert all(np.all(t[0] == stack[0][0]) for t in together)
 
     def test_norms_whose_square_overflows(self):
         # partial norms up to 10 * 2^510 square past the largest double; a
@@ -268,7 +292,7 @@ class TestMcTail:
             assert mc_tail_batch(instances, n, seed=4, workers=workers) == alone
 
     def test_stacked_task_grouped_with_one_row_tasks(self):
-        # a two-row task keeps its one scale when it shares a chain
+        # each row of a two-row task keeps its own scale beside other tasks
         tasks = [
             (np.copy, [[1.0, 2.0, 3.0], [0.5, 0.5, 4e153]], 2),
             (np.copy, [1e-300, 2.0, 1.0], 2),
