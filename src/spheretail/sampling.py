@@ -138,10 +138,12 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     C is +-1 for d = 1 (eight signs per random byte), uniform on [-1, 1] for
     d = 3 (Archimedes), cbrt(V) W for d = 5 (V uniform on [0, 1), W uniform
     on [-1, 1]: the first three coordinates have squared norm Beta(3/2, 1)
-    and an independent uniform direction), and cos(pi U) sqrt(B) at every
+    and an independent uniform direction), and sin(theta) sqrt(B) at every
     other d: the first two coordinates of a uniform point on S^(d-1) have a
-    uniform angle and an independent squared norm B ~ Beta(1, (d-2)/2),
-    drawn as its quantile 1 - (1-V)^(2/(d-2)) (B = 1 at d = 2).
+    uniform angle theta = pi (U - 1/2) and an independent squared norm
+    B ~ Beta(1, (d-2)/2), drawn as its quantile 1 - (1-V)^(2/(d-2)) (B = 1
+    at d = 2).  sin(theta) is 2t / (1 + t^2) with t = tan(theta / 2) in
+    [-1, 1], the range where numpy's vectorised tangent needs no reduction.
     """
     d = check_dimension(d)
     if d == 1:
@@ -151,9 +153,14 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size)
     if d == 5:
         return np.cbrt(rng.random(size)) * rng.uniform(-1.0, 1.0, size)
-    c = rng.random(size)
-    c *= math.pi
-    np.cos(c, out=c)
+    t = rng.random(size)
+    t *= 0.5 * math.pi
+    t -= 0.25 * math.pi
+    np.tan(t, out=t)  # t = tan(theta / 2) in [-1, 1]
+    c = np.multiply(t, t)
+    c += 1.0
+    t += t
+    np.divide(t, c, out=c)  # sin(theta) = 2t / (1 + t^2), never above 1
     if d > 2:
         b = np.negative(rng.random(size))
         np.log1p(b, out=b)  # log1p(-V) is finite at V = 0, log(V) is not

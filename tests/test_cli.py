@@ -848,18 +848,18 @@ class TestVerifyCommand:
         [
             (
                 ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric"],
-                "c8341d13eebd1622f1231cd87af764d82b227603bdd64ba697934e512928cc43",
+                "0dfb0846d75451e74be4a86210a094f5bf9cb7da671cbcae413929440b2c3372",
             ),
             (
                 # extreme scales sharing (d, n) = (2, 5) with equal
                 ["--d", "2", "--n", "5", "--no-normalize", "--patterns",
                  "equal,explicit:4e153,4e153,4e153,4e153,4e153,explicit:1e-300,3,1,2,0.5"],
-                "9844e25d1e0dfd4d74d8fe789b1ebcc4b1eb6aefafa13136fe35dfc4abf7d5e0",
+                "41d974b5d7804ebdcbd7311e0c57c7842713f9f12e61e92f96c5c5b8439d4cb4",
             ),
             (
                 # even d >= 4 draws C in closed form; d = 30 is a highdim column
                 ["--d", "4,6,10,30", "--n", "1,2,5", "--patterns", "equal,single,geometric"],
-                "7bc46d038686aac1f74387bd93516f57ba63c7aeabe8e1a688f365e1083f36ab",
+                "a802efac0aabdb4da8631f324dcd8f5a0e3b0e748e14910a00b33c48d48829be",
             ),
         ],
         ids=["grid", "extreme-scales", "even-d"],
@@ -879,7 +879,7 @@ class TestVerifyCommand:
             (
                 ["--d", "1,2,3,5", "--n", "1,2,5", "--patterns", "equal,single,geometric",
                  "--samples", "40000", "--workers", "2"],
-                "a39a4493a6ad76cce9da5f518295f62f92066a0a17ed4c3a56f9ef84e2562ba2",
+                "d74430c3e6d446fd641a49cc5ab50fa5efbd9884e0719cb4a84d53f0591176cc",
             ),
             (
                 # the comparator tail underflows at u = 30 and 60: ratio_upper Infinity

@@ -13,7 +13,8 @@ calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
 u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
 takes that tail, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
-``sampling.cos_rule`` integrates against the law of C, only
+``sampling.cos_rule`` integrates against the law of C, ``cos_marginal``
+evaluates no cosine or sine, only
 ``report.csv_text`` and ``report.json_text`` write CSV and JSON (``cli``
 imports neither ``csv``, ``io`` nor ``json``), only ``bounds.pow2_above``
 picks a power-of-two scaling, every comparator scale goes through
@@ -283,6 +284,16 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
     # cos_rule integrates against the law that cos_marginal samples, so the
     # quadrature of C lives beside its sampler and is built in one place
     assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
+
+
+def test_the_sampler_of_c_evaluates_no_cosine_or_sine():
+    # numpy evaluates float64 cos and sin one value at a time but tan in SIMD
+    # lanes, so cos_marginal draws its angle through the tangent; only the
+    # cached quadrature of C evaluates a cosine or a sine
+    for trig in ("cos", "sin"):
+        callers = _callers_of(trig)
+        assert ("sampling.py", "_angle_rule") in callers
+        assert ("sampling.py", "cos_marginal") not in callers
 
 
 def test_only_the_chunk_map_draws_c_and_runs_the_chain():

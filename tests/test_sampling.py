@@ -116,37 +116,59 @@ class TestSphereSampling:
         assert set(c.tolist()) <= {-1.0, 1.0}
         assert stats.binomtest(int(np.count_nonzero(c > 0)), size).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
+    @pytest.mark.parametrize("d", [2, 4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
     def test_draws_follow_the_beta_law(self, d):
-        # d = 5 draws cbrt(V) W and every other d here cos(pi U) sqrt(B):
-        # all must have the law 2 Beta((d-1)/2, (d-1)/2) - 1
+        # d = 5 draws cbrt(V) W and every other d here sin(theta) sqrt(B):
+        # all must have the law 2 Beta((d-1)/2, (d-1)/2) - 1 (the arcsine
+        # law at d = 2)
         c = cos_marginal(RngStream(2024, d).generator(), d, 1_000_000)
         law = stats.beta((d - 1) / 2, (d - 1) / 2, loc=-1.0, scale=2.0)
         assert stats.kstest(c, law.cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("d", [4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
+    @pytest.mark.parametrize("d", [2, 4, 5, 6, 7, 9, 10, 15, 30, 31, 100, 101])
     def test_fourth_moment(self, d):
-        # E C^4 = 3 / (d (d + 2)), the fourth moment of the Beta law
+        # E C^4 = 3 / (d (d + 2)), the fourth moment of the Beta law (3/8 at d = 2)
         c4 = cos_marginal(RngStream(9, d).generator(), d, 1_000_000) ** 4
         se = c4.std(ddof=1) / math.sqrt(c4.size)
         assert abs(c4.mean() - 3.0 / (d * (d + 2))) <= 5.0 * se
 
-    def test_d2_is_the_cosine_of_a_uniform_angle(self):
-        # the closed form draws the angle first, so d = 2 keeps this stream
+    def test_d2_is_the_sine_of_a_uniform_angle(self):
+        # sin(theta), theta = pi (U - 1/2), drawn as 2t / (1 + t^2) with
+        # t = tan(theta / 2): that form bit for bit, and the sine to rounding
         c = cos_marginal(RngStream(3, 2).generator(), 2, 70_001)
-        angle = math.pi * RngStream(3, 2).generator().random(70_001)
-        assert np.array_equal(c, np.cos(angle))
+        u = RngStream(3, 2).generator().random(70_001)
+        t = np.tan(u * (0.5 * math.pi) - 0.25 * math.pi)
+        assert np.array_equal(c, 2.0 * t / (1.0 + t * t))
+        assert np.max(np.abs(c - np.sin(math.pi * (u - 0.5)))) <= 4e-16
 
-    @pytest.mark.parametrize("d", [4, 7, 10, 100, 101])
+    @pytest.mark.parametrize("d", [2, 4, 6, 7, 10, 100, 101])
     def test_closed_form_at_the_ends_of_the_uniforms(self, d):
-        # U and V at 0, just below 1 and at 1/2: log(V) would warn at V = 0
+        # U and V at and next to 0, 1/2 and 1: log(V) would warn at V = 0,
+        # and t = tan(theta / 2) reaches -1 at U = 0 and 0 at U = 1/2
         class EdgeUniforms:
             def random(self, size):
-                return np.resize([0.0, np.nextafter(1.0, 0.0), 0.5], size)
+                ends = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, np.nextafter(1.0, 0.0)]
+                return np.resize(ends, size)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c = cos_marginal(EdgeUniforms(), d, 3)
+            c = cos_marginal(EdgeUniforms(), d, 5)
+        assert np.all(np.isfinite(c)) and np.all(np.abs(c) <= 1.0)
+
+    @pytest.mark.parametrize("d", [2, 4, 7, 100])
+    def test_no_draw_leaves_the_unit_interval_at_the_ends(self, d):
+        # the 2^20 uniforms nearest each end of [0, 1), where t nears -1 and
+        # 1: 1 - C^2, which the chain takes a square root of, stays >= 0
+        k = np.arange(1 << 20) * 2.0**-53
+        ends = np.concatenate([k, 1.0 - (k + 2.0**-53)])
+
+        class EndUniforms:
+            def random(self, size):
+                return ends.copy()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cos_marginal(EndUniforms(), d, ends.size)
         assert np.all(np.isfinite(c)) and np.all(np.abs(c) <= 1.0)
 
     def test_d3_first_coordinate_uniform(self):
