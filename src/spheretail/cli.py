@@ -141,7 +141,7 @@ _KIND_FLAGS = {
     "--alpha": dict(type=_alpha, default=0.01),
     "--grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
     "--t-grid": dict(type=_range_spec, metavar="LO:HI:COUNT"),
-    "--y-norms": dict(type=_floats, default=[0.0, 1.0, 2.0]),
+    "--y-norms": dict(type=_floats, default=(0.0, 1.0, 2.0)),
     "--non-strict": dict(action="store_true", help="use >= instead of > at the threshold"),
     "--format": dict(choices=("json",), help="print the result as JSON after its line"),
 }
@@ -267,6 +267,7 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@functools.cache  # built once per process; parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spheretail",
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = add_command("verify", help="Monte Carlo verification sweep against the bounds")
     p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--d", type=_ints, required=True, metavar="D1,D2,...")
-    p_verify.add_argument("--n", type=_ints, default=[1], metavar="N1,N2,...")
+    p_verify.add_argument("--n", type=_ints, default=(1,), metavar="N1,N2,...")
     p_verify.add_argument(
         "--patterns",
         type=str,

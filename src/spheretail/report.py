@@ -11,6 +11,7 @@ can be omitted.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -299,9 +300,30 @@ def csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
+@functools.cache
+def _json_encoder(depth: int):
+    """The C encoder of items at the indent of nesting ``depth + 1``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _indented(doc, depth: int) -> str:
+    """``json.dumps(doc, indent=2)`` at ``depth``: C-encoded flat parts, joined."""
+    encode, inner = _json_encoder(depth), "\n" + "  " * (depth + 1)
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return encode(doc)
+    values = doc.values() if isinstance(doc, dict) else doc
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        body = encode(doc)[1:-1]
+    else:  # a key's text is that of encode({k: None}) == '{"k": null}'
+        keys = [encode({k: None})[1:-5] for k in doc] if isinstance(doc, dict) else [""] * len(doc)
+        body = ("," + inner).join(k + _indented(v, depth + 1) for k, v in zip(keys, values))
+    opening, closing = "{}" if isinstance(doc, dict) else "[]"
+    return opening + inner + body + inner[:-2] + closing
+
+
 def json_text(doc) -> str:
     """DOC as JSON indented by 2, with a final newline: every JSON report's format."""
-    return json.dumps(doc, indent=2) + "\n"
+    return _indented(doc, 0) + "\n"
 
 
 def records_to_json(

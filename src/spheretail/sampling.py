@@ -25,12 +25,12 @@ Every Monte Carlo result here depends only on (seed, n_samples, coefficients,
 dimension, threshold).  Samples are drawn in fixed chunks of ``CHUNK_SIZE``;
 chunk k derives its generator from ``SeedSequence(seed, spawn_key=(k,))``.
 ``map_sum_norms`` is the one chunk map that every sample goes through.  Tasks
-of one d draw identical C columns, and a task of length n reads the first
-n - 1, so a call draws each column once per chunk and each task runs its own
-chain on it; every norm equals the one-task call's.  Workers only map chunks
-to threads (one pool maps every (d, chunk) pair of a ``map_sum_norms`` call),
-so the drawn sample stream, the hit count, and hence the reported estimate
-are identical for any degree of parallelism.
+of one d draw identical C columns, a task of length n reads the first n - 1,
+and every d outside {1, 2, 3, 5} reads the same uniforms, so a call draws
+each column's uniforms once per chunk and each task runs its own chain on
+them; every norm equals the one-task call's.  Workers only map jobs to
+threads, so the sample stream, the hit count, and hence the reported estimate
+are identical for any degree of parallelism (see ``RngStream`` for platforms).
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
 verdicts built on them stay conservative even at very small tail
@@ -65,8 +65,9 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible substream: (seed, stream_index) -> identical samples
-    on any platform and any worker layout."""
+    """(seed, stream_index) -> identical uniforms on any platform and worker
+    layout; C and the norms only for one numpy build at one SIMD level, and
+    reports across SIMD levels unless a norm is within rounding of a threshold."""
 
     seed: int
     stream_index: int = 0
@@ -146,6 +147,13 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     [-1, 1], the range where numpy's vectorised tangent needs no reduction.
     """
     d = check_dimension(d)
+    return _cos_column(d, _cos_draw(rng, d, size))
+
+
+def _cos_draw(rng: np.random.Generator, d: int, size: int):
+    """The next column's draw of ``size`` C values at d: the column itself at
+    d in {1, 2, 3, 5}, else (sin(theta), log1p(-V)), which every d outside
+    {1, 2, 3, 5} shares and ``_cos_column`` finishes for one d."""
     if d == 1:
         bits = np.unpackbits(rng.integers(0, 256, -(-size // 8), dtype=np.uint8))
         return np.array([-1.0, 1.0])[bits[:size]]
@@ -157,16 +165,25 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     t *= 0.5 * math.pi
     t -= 0.25 * math.pi
     np.tan(t, out=t)  # t = tan(theta / 2) in [-1, 1]
-    c = np.multiply(t, t)
-    c += 1.0
+    s = np.multiply(t, t)
+    s += 1.0
     t += t
-    np.divide(t, c, out=c)  # sin(theta) = 2t / (1 + t^2), never above 1
-    if d > 2:
-        b = np.negative(rng.random(size))
-        np.log1p(b, out=b)  # log1p(-V) is finite at V = 0, log(V) is not
-        np.expm1(np.multiply(b, 2.0 / (d - 2), out=b), out=b)
-        c *= np.sqrt(np.negative(b, out=b), out=b)
-    return c
+    np.divide(t, s, out=s)  # sin(theta) = 2t / (1 + t^2), never above 1
+    if d == 2:
+        return s
+    v = np.negative(rng.random(size, out=t), out=t)  # V in the angle's buffer
+    return s, np.log1p(v, out=v)  # finite at V = 0, where log(V) is not
+
+
+def _cos_column(d: int, draw) -> np.ndarray:
+    """The column of C at d from its ``_cos_draw``: at d outside
+    {1, 2, 3, 5}, sin(theta) times sqrt(1 - (1-V)^(2/(d-2)))."""
+    if d in (1, 2, 3, 5):
+        return draw
+    s, v = draw
+    c = np.multiply(v, 2.0 / (d - 2))
+    np.sqrt(np.negative(np.expm1(c, out=c), out=c), out=c)
+    return np.multiply(c, s, out=c)
 
 
 @functools.cache
@@ -221,12 +238,10 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
     ``rows`` is a stack of equal-length coefficient vectors (one vector
     counts as a stack of one), and norms_k has shape (len(rows), size):
     every row of a task uses the same C draws (common random numbers).
-    Every task draws the same chunk layout, and chunk k draws its columns in
-    turn from ``RngStream(seed, k)``, so tasks of one d draw the same C
-    columns, and a task of length n reads the first n - 1: a chunk draws
-    them once per d, and each task runs its own chain on them.  One pool of
-    ``workers`` threads maps all (d, chunk) pairs, so a batch of short runs
-    keeps every thread busy, and the results do not depend on ``workers``.
+    Chunk k draws its columns in turn from ``RngStream(seed, k)``, for one d
+    or for every d outside {1, 2, 3, 5} at once, and finishes each d's
+    columns just before its chains run.  One pool maps every (family, chunk)
+    job, and the results do not depend on ``workers``.
     """
     groups: dict[int, list] = {}  # d -> [(task, fn, rows)]
     for i, (fn, a, d) in enumerate(tasks):
@@ -238,14 +253,21 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
         raise ValueError(f"workers must be >= 1, got {workers}")
     full, rem = divmod(n_samples, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    jobs = [(d, k) for d in groups for k in range(len(sizes))]
+    shared = tuple(d for d in groups if d not in (1, 2, 3, 5))
+    families = [(d,) for d in groups if d not in shared] + ([shared] if shared else [])
+    jobs = [(family, k) for family in families for k in range(len(sizes))]
 
-    def chunk(job: tuple[int, int]):
-        d, k = job
+    def chunk(job: tuple[tuple[int, ...], int]):
+        family, k = job
+        n = {d: max(a.shape[1] for _, _, a in groups[d]) - 1 for d in family}
         rng = RngStream(seed, k).generator()
-        n = max(a.shape[1] for _, _, a in groups[d])
-        cols = [cos_marginal(rng, d, sizes[k]) for _ in range(n - 1)]
-        return [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d]]
+        draws = [_cos_draw(rng, family[0], sizes[k]) for _ in range(max(n.values()))]
+        out = []
+        for d in family:
+            cols = [_cos_column(d, x) for x in draws[: n[d]]]
+            out += [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d]]
+            del cols  # a job holds its shared draws and one d's columns
+        return out
 
     if workers == 1:
         results = [chunk(job) for job in jobs]
@@ -278,14 +300,9 @@ def mc_tail_batch(
     workers: int = 1,
 ) -> list[list[McEstimate]]:
     """``mc_tail_multi(d, coeffs, u_values, ...)`` for each (d, coeffs,
-    u_values) in ``instances``, in that order.
-
-    One pool of ``workers`` threads maps every (instance, chunk) pair, so a
-    sweep of many short instances starts one pool, not one per instance.
-    Each instance keeps its own stream (chunk k from ``RngStream(seed, k)``),
-    so every estimate equals the one-instance call and does not depend on
-    ``workers``.
-    """
+    u_values) in ``instances``, in that order, from one ``map_sum_norms``
+    call (one pool for the whole batch), so every estimate equals the
+    one-instance call and does not depend on ``workers``."""
     tasks = []
     for d, coeffs, u_values in instances:
         a = coeff_array(coeffs)

@@ -2,6 +2,7 @@
 exit codes, and byte-level determinism of reports."""
 
 import argparse
+import copy
 import csv
 import hashlib
 import inspect
@@ -14,6 +15,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
 from spheretail import cosh_profile, is_bisubharmonic_numeric
@@ -501,6 +504,33 @@ def test_check_json_is_the_report_format(capsys, argv):
     assert doc == report.json_text(json.loads(doc))
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-5, np.float64(-0.0)])
+    | st.text()
+    | st.text(st.sampled_from('a\u00e9\u4e2d\U0001f600"\\/\n\t\x00\x7f\u2028'))
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda docs: st.lists(docs, max_size=4)
+    | st.lists(docs, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), docs, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(JSON_DOCS)
+def test_json_text_is_the_indented_dump(doc):
+    # json_text joins the C encoder's flat containers by hand; the bytes
+    # must be those of the pure-Python encoder that indent= selects
+    assert report.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def _subparsers(parser):
     """The subcommand name -> parser map of PARSER ({} if it has none)."""
     actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -534,6 +564,25 @@ class TestParserTree:
 
     def test_no_parser_accepts_abbreviations(self):
         assert [p.prog for p in _parsers(build_parser()) if p.allow_abbrev] == []
+
+    def test_built_once_and_no_call_changes_a_default(self, capsys):
+        # main parses with the one cached parser, so no run may leave a
+        # value behind in it for the next run to read as a default
+        assert build_parser() is build_parser()
+
+        def defaults():
+            parsers = _parsers(build_parser())
+            return {(p.prog, a.dest): a.default for p in parsers for a in p._actions}
+
+        before = copy.deepcopy(defaults())
+        bisub = ["check", "bisub", "--f", "power2", "--d", "3"]
+        verify = ["verify", "--d", "1", "--format", "csv"]
+        plain = [vars(build_parser().parse_args(argv)) for argv in (bisub, verify)]
+        assert plain[0]["y_norms"] == (0.0, 1.0, 2.0) and plain[1]["n"] == (1,)
+        for argv in (bisub + ["--y-norms", "3"], bisub, verify + ["--n", "2"], verify):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert defaults() == before
+        assert [vars(build_parser().parse_args(argv)) for argv in (bisub, verify)] == plain
 
     def test_every_kind_has_a_handler(self):
         root = build_parser()

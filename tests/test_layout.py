@@ -14,11 +14,11 @@ u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
 takes that tail, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
 ``sampling.cos_rule`` integrates against the law of C, ``cos_marginal``
-evaluates no cosine or sine, only
-``report.csv_text`` and ``report.json_text`` write CSV and JSON (``cli``
-imports neither ``csv``, ``io`` nor ``json``), only ``bounds.pow2_above``
-picks a power-of-two scaling, every comparator scale goes through
-``bounds.scale``, and the messages of the alpha, threshold and
+and the draws ``_cos_draw`` and ``_cos_column`` behind it evaluate no
+cosine or sine, only ``report.csv_text`` and ``report.json_text`` write CSV
+and JSON (``cli`` imports neither ``csv``, ``io`` nor ``json``), only
+``bounds.pow2_above`` picks a power-of-two scaling, every comparator scale
+goes through ``bounds.scale``, and the messages of the alpha, threshold and
 command-line usage checks are each written once.
 Importing the package loads neither ``scipy.stats``, which it does not
 need, nor ``scipy.integrate``, which one function needs.
@@ -288,18 +288,23 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
 
 def test_the_sampler_of_c_evaluates_no_cosine_or_sine():
     # numpy evaluates float64 cos and sin one value at a time but tan in SIMD
-    # lanes, so cos_marginal draws its angle through the tangent; only the
+    # lanes, so the sampler of C draws its angle through the tangent; only the
     # cached quadrature of C evaluates a cosine or a sine
     for trig in ("cos", "sin"):
         callers = _callers_of(trig)
         assert ("sampling.py", "_angle_rule") in callers
         assert ("sampling.py", "cos_marginal") not in callers
+        assert ("sampling.py", "_cos_draw") not in callers
+        assert ("sampling.py", "_cos_column") not in callers
 
 
 def test_only_the_chunk_map_draws_c_and_runs_the_chain():
     # one sampling engine: every C column and every radial chain comes from
-    # chunk, the per-(d, chunk) job inside sampling.map_sum_norms
-    assert _callers_of("cos_marginal") == [("sampling.py", "chunk")]
+    # chunk, the per-(family, chunk) job inside sampling.map_sum_norms, and
+    # cos_marginal is the one-column case of the same draws
+    assert _callers_of("cos_marginal") == []
+    for step in ("_cos_draw", "_cos_column"):
+        assert _callers_of(step) == [("sampling.py", "cos_marginal"), ("sampling.py", "chunk")]
     assert _callers_of("_radial_chain") == [("sampling.py", "chunk")]
     [owner] = [
         node.name
@@ -312,9 +317,13 @@ def test_only_the_chunk_map_draws_c_and_runs_the_chain():
 
 def test_only_the_report_owner_writes_csv_and_json():
     # cli, the constants table and the check results print through these two,
-    # so every CSV and JSON report has one format
+    # so every CSV and JSON report has one format; json_text encodes through
+    # the C encoders of _json_encoder, joined by _indented
     assert _callers_of("writer") == [("report.py", "csv_text")]
-    assert _callers_of("dumps") == [("report.py", "json_text")]
+    assert _callers_of("dumps") == []
+    assert _callers_of("JSONEncoder") == [("report.py", "_json_encoder")]
+    assert _callers_of("_json_encoder") == [("report.py", "_indented")]
+    assert _callers_of("_indented") == [("report.py", "_indented"), ("report.py", "json_text")]
     imported = {
         alias.name
         for node in ast.walk(_tree(PACKAGE / "cli.py"))

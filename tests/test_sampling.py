@@ -8,6 +8,7 @@ the exact oracles and for worker-count independence.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from spheretail import (
     CapacityError,
@@ -146,9 +147,12 @@ class TestSphereSampling:
         # U and V at and next to 0, 1/2 and 1: log(V) would warn at V = 0,
         # and t = tan(theta / 2) reaches -1 at U = 0 and 0 at U = 1/2
         class EdgeUniforms:
-            def random(self, size):
+            def random(self, size, out=None):
                 ends = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, np.nextafter(1.0, 0.0)]
-                return np.resize(ends, size)
+                if out is None:
+                    return np.resize(ends, size)
+                out[:] = np.resize(ends, size)
+                return out
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -163,8 +167,11 @@ class TestSphereSampling:
         ends = np.concatenate([k, 1.0 - (k + 2.0**-53)])
 
         class EndUniforms:
-            def random(self, size):
-                return ends.copy()
+            def random(self, size, out=None):
+                if out is None:
+                    return ends.copy()
+                out[:] = ends
+                return out
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -269,16 +276,30 @@ class TestRadialChain:
 
 
 @pytest.fixture
-def cos_draws(monkeypatch):
-    """The d of every ``cos_marginal`` call the engine makes, in order."""
-    calls = []
+def uniform_blocks(monkeypatch):
+    """One list per generator the engine makes, that is per (family, chunk)
+    job, of the draw calls (``random``, ``uniform`` or ``integers``) it makes;
+    each call draws one block of uniforms or random bytes."""
+    logs = []
+    make = sampling.RngStream.generator
 
-    def counting(rng, d, size):
-        calls.append(d)
-        return cos_marginal(rng, d, size)
+    class Counting:
+        def __init__(self, rng, log):
+            self._rng, self._log = rng, log
 
-    monkeypatch.setattr(sampling, "cos_marginal", counting)
-    return calls
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                self._log.append(name)
+                return getattr(self._rng, name)(*args, **kwargs)
+
+            return draw
+
+    def counting(stream):
+        logs.append([])
+        return Counting(make(stream), logs[-1])
+
+    monkeypatch.setattr(sampling.RngStream, "generator", counting)
+    return logs
 
 
 class TestMcTail:
@@ -329,10 +350,12 @@ class TestMcTail:
                 assert [c.shape for c in chunks] == [e.shape for e in expected]
                 assert all(np.array_equal(c, e) for c, e in zip(chunks, expected))
 
-    def test_tasks_of_one_dimension_read_a_prefix_of_its_columns(self, cos_draws):
+    def test_tasks_of_one_dimension_read_a_prefix_of_its_columns(self, uniform_blocks):
         # a task of length n reads the first n - 1 of the columns its d
         # draws, so it sees the same C values whether the longest task of
-        # its d has length n or 10; the length-3 rows span 2^1500 in scale
+        # its d has length n or 10; the length-3 rows span 2^1500 in scale.
+        # d = 4, 7, 30 and 100 share their draws in one job, each finishing
+        # its own columns, and each must still see what it draws alone.
         tasks = [
             (np.copy, [2.0], 5),
             (np.copy, [1.0, 1.0], 5),
@@ -341,28 +364,107 @@ class TestMcTail:
             (np.copy, [[1.0, 2.0, 3.0], [0.5, 0.5, 4e153]], 5),
             (np.copy, np.linspace(0.1, 1.0, 10), 5),
             (np.copy, [[3.0], [0.25]], 4),
+            (np.copy, [1.0, 0.5, 0.25, 0.125], 7),
+            (np.copy, [[1.0, 1.0], [0.5, 4e153]], 7),
+            (np.copy, np.linspace(1.0, 0.2, 6), 30),
+            (np.copy, [2.0, 0.0, 1.0], 30),
+            (np.copy, np.linspace(1.0, 0.3, 8), 100),
+            (np.copy, [1e-300, 1.0], 100),
         ]
         n = 2 * CHUNK_SIZE + 7
         alone = [map_sum_norms([task], n, seed=8)[0] for task in tasks]
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             together = map_sum_norms(tasks, n, seed=8, workers=workers)
             for chunks, expected in zip(together, alone, strict=True):
                 assert [c.shape for c in chunks] == [e.shape for e in expected]
                 assert all(np.array_equal(c, e) for c, e in zip(chunks, expected))
-        # the d = 5 tasks share 9 columns per chunk, and the d = 4 group,
-        # whose rows all have length 1, draws none
-        cos_draws.clear()
+        # per chunk, d = 5 draws 9 columns (a V and a W block each), and
+        # d = 4, 7, 30 and 100 draw the 7 columns of the longest of them (a U
+        # and a V block each) in one job; the d = 4 rows all have length 1
+        uniform_blocks.clear()
         map_sum_norms(tasks, n, seed=8, workers=2)
-        assert cos_draws == [5] * 9 * 3
+        assert sorted(map(len, uniform_blocks)) == [14] * 3 + [18] * 3
 
-    def test_each_dimension_draws_its_cosines_once(self, cos_draws):
-        # instances of one d draw the same C columns, so a chunk draws them
-        # once per d: max(n) - 1 columns per d and chunk
+    def test_a_job_holds_its_shared_draws_and_one_dimensions_columns(self):
+        # the dimensions outside {1, 2, 3, 5} share two arrays per column,
+        # sin(theta) and log1p(-V), and each d finishes its columns just
+        # before its chains run, so a job's memory does not grow with the
+        # number of d it serves: 3 arrays per column, plus the chain's own
+        n, column = 9, 8 * CHUNK_SIZE
+
+        def peak(dims):
+            tasks = [(np.sum, np.ones(n), d) for d in dims]
+            tracemalloc.start()
+            try:
+                map_sum_norms(tasks, CHUNK_SIZE, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak((4, 6)), peak([d for d in range(4, 40) if d != 5])
+        assert few < (3 * (n - 1) + 4) * column
+        assert many < few + column
+
+    def test_each_dimension_draws_its_cosines_once(self, uniform_blocks):
+        # instances of one d draw the same C columns, and the dimensions
+        # outside {1, 2, 3, 5} read the same uniforms, so a chunk draws
+        # max(n) - 1 columns per family: one U block per column at d = 2,
+        # a V and a W block at d = 5, and a U and a V block for d = 7 and 10
+        # together
         patterns = [CoefficientPattern(k) for k in ("equal", "single", "geometric")]
-        dims, ns, chunks = (2, 5), (1, 2, 5), 2
+        dims, ns, chunks = (2, 5, 7, 10), (1, 2, 5), 2
         instances = [(d, p.materialize(n), [0.5]) for d in dims for n in ns for p in patterns]
         mc_tail_batch(instances, chunks * CHUNK_SIZE, seed=0, workers=2)
-        assert len(cos_draws) == len(dims) * (max(ns) - 1) * chunks
+        columns = max(ns) - 1
+        expected = [columns, 2 * columns, 2 * columns] * chunks
+        assert sorted(map(len, uniform_blocks)) == sorted(expected)
+        assert all(set(log) == {"random"} for log in uniform_blocks if len(log) == columns)
+
+    def test_every_dimension_draws_the_columns_it_draws_alone(self, monkeypatch):
+        # one call mixes every kind of draw; column j of each d in chunk k is
+        # the j-th cos_marginal draw of a fresh RngStream(seed, k) generator,
+        # bit for bit, although the dimensions outside {1, 2, 3, 5} share
+        # their uniforms, at any number of workers
+        dims = (1, 2, 3, 4, 5, 6, 7, 10, 30, 100)
+        lengths = {d: 2 + i % 4 for i, d in enumerate(dims)}
+        tasks = [(np.copy, [float(d)] + [1.0] * (lengths[d] - 1), d) for d in dims]
+        seen = {}
+        chain = sampling._radial_chain
+
+        def recording(rows, cols, size):
+            seen[int(rows[0, 0]), size] = cols
+            return chain(rows, cols, size)
+
+        monkeypatch.setattr(sampling, "_radial_chain", recording)
+        sizes = (CHUNK_SIZE, 1000)
+        for workers in (1, 2, 3):
+            seen.clear()
+            map_sum_norms(tasks, sum(sizes), seed=13, workers=workers)
+            assert len(seen) == len(dims) * len(sizes)
+            for d in dims:
+                for k, size in enumerate(sizes):
+                    rng = RngStream(13, k).generator()
+                    expected = [cos_marginal(rng, d, size) for _ in range(lengths[d] - 1)]
+                    assert len(seen[d, size]) == len(expected)
+                    assert all(map(np.array_equal, seen[d, size], expected)), (d, k, workers)
+
+    def test_two_coefficients_match_the_exact_law_of_c(self):
+        # ||a_1 U_1 + a_2 U_2|| > u iff C > c = (u^2 - a_1^2 - a_2^2) / (2 |a_1 a_2|),
+        # and P(C > c) = I_{(1-c)/2}((d-1)/2, (d-1)/2).  Thresholds at
+        # c = -1/sqrt(d), 0 and 0.9/sqrt(d) keep every tail informative.  The
+        # six dimensions run in one batch, so d >= 4 share their uniforms,
+        # and each estimate is also mc_tail_multi's; 18 intervals at a
+        # family alpha of 0.01.
+        dims, a = (2, 4, 7, 10, 30, 100), (1.0, -0.6)
+        n, alpha = 4 * CHUNK_SIZE, 0.01 / (6 * 3)
+        us = [np.sqrt(1.36 + 1.2 * np.array([-1.0, 0.0, 0.9]) / math.sqrt(d)) for d in dims]
+        batch = mc_tail_batch(list(zip(dims, [a] * 6, us)), n, seed=3, alpha=alpha, workers=2)
+        for d, u_values, estimates in zip(dims, us, batch, strict=True):
+            assert estimates == mc_tail_multi(d, a, u_values, n, seed=3, alpha=alpha)
+            for u, est in zip(u_values, estimates):
+                c = (u * u - 1.36) / 1.2
+                exact = special.betainc((d - 1) / 2, (d - 1) / 2, (1.0 - c) / 2)
+                assert est.ci_low <= exact <= est.ci_high, (d, u, exact, est)
 
     def test_batch_checks_workers_before_the_pool(self):
         with pytest.raises(ValueError, match=r"workers must be >= 1, got 0"):
