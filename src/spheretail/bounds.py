@@ -103,15 +103,8 @@ E_SQUARED = BoundConstant("E_SQUARED", math.e**2, "e^2, intermediate improvement
 NT397 = BoundConstant("NT397", 397.0, "earlier baseline constant, ~89x C3")
 
 _CONSTANTS = (C3, C_STAR, E_SQUARED, NT397)
-_ALIASES = {
-    "c3": C3,
-    "c_star": C_STAR,
-    "cstar": C_STAR,
-    "e_squared": E_SQUARED,
-    "e2": E_SQUARED,
-    "nt397": NT397,
-    "397": NT397,
-}
+_ALIASES = {c.name.lower(): c for c in _CONSTANTS}
+_ALIASES |= {"cstar": C_STAR, "e2": E_SQUARED, "397": NT397}
 
 
 def constant_table() -> list[BoundConstant]:

@@ -74,12 +74,11 @@ def _alpha(token: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _floats(text: str) -> list[float]:
-    return [_number(v) for v in text.split(",") if v.strip() != ""]
+def _comma_list(kind: type, text: str) -> list:
+    return [_number(v, kind) for v in text.split(",") if v.strip() != ""]
 
 
-def _ints(text: str) -> list[int]:
-    return [_number(v, int) for v in text.split(",") if v.strip() != ""]
+_floats, _ints = functools.partial(_comma_list, float), functools.partial(_comma_list, int)
 
 
 def _range_spec(text: str) -> np.ndarray:

@@ -8,7 +8,8 @@ bounds into testable predicates:
   with convex second derivative), decided by finite differences on a grid;
 * numerical bisubharmonicity of the radial lift f(x) = h(||x||), via the
   equivalence "f bisubharmonic iff t -> E f(y + U sqrt t) is convex on
-  (0, oo) for every center y", by Monte Carlo or by ``sampling.cos_rule``;
+  (0, oo) for every center y", by Monte Carlo or by ``sampling.cos_rule``
+  at finitely many centres; the comparisons certify a profile in closed form;
 * Schur majorization of squared-coefficient tuples;
 * the moment comparisons between sums of scaled unit vectors, their
   redistributed counterparts, and their Gaussian comparators, including the
@@ -130,10 +131,6 @@ def parse_test_function(token: str) -> TestFunction:
             "or softplus_squared, optionally prefixed with '-'"
         )
     return fn.negate() if negated else fn
-
-
-def _is_power(fn: TestFunction, p: float) -> bool:
-    return fn.kind == "power" and fn.param == p and fn.sign > 0
 
 
 def _z(alpha: float) -> float:
@@ -340,8 +337,8 @@ def is_bisubharmonic_numeric(
     its own profile scale, so a large centre hides no failure at a small one
     (the report keeps the largest).  method="quadrature" integrates h over
     ||y + U sqrt t||^2 = |y|^2 + t + 2 sqrt(t) |y| C with ``sampling.cos_rule``
-    instead; ``check bisub`` and the certification of comparison profiles
-    decide by it, and the Monte Carlo default is its cross-check.
+    instead; ``check bisub`` decides by it at the given centres, and the
+    Monte Carlo default is its cross-check.
     """
     d = check_dimension(d)
     ts = np.asarray(
@@ -473,7 +470,7 @@ def _exact_sphere_side(fn: TestFunction, sq: Sequence[float], d: int) -> tuple[f
     if len(sq) == 1:
         with np.errstate(over="ignore"):  # _finite rejects the result
             value, method = float(fn.h(math.sqrt(sq[0]))), "exact-constant-norm"
-    elif _is_power(fn, 2.0) or _is_power(fn, 4.0):
+    elif fn.kind == "power" and fn.param in (2.0, 4.0) and fn.sign > 0:
         m2, m4 = _moments(sq, d)
         value, method = (m2, "exact-m2") if fn.param == 2.0 else (m4, "exact-m4")
     else:
@@ -535,17 +532,22 @@ def _verdict(
 
 
 def _certify_comparison_function(fn: TestFunction, d: int) -> None:
-    """Reject test functions whose radial lift is not (certifiably)
-    bisubharmonic: powers 2 and 4 are certified analytically, anything else
-    must pass the deterministic quadrature convexity test."""
-    if _is_power(fn, 2.0) or _is_power(fn, 4.0):
-        return
-    report = is_bisubharmonic_numeric(fn, d, method="quadrature")
-    if report.status != "pass":
-        raise ValueError(
-            f"{fn.label} is not certified bisubharmonic for d={d} "
-            f"(convexity test: {report.status}, min margin {report.min_margin:.3g})"
-        )
+    """Reject a profile whose radial lift is not bisubharmonic in R^d, naming
+    the failed condition.  Off the origin Delta^2 |x|^p = p (p+d-2) (p-2)
+    (p+d-4) |x|^(p-4), and the origin adds no negative mass iff p + d >= 4
+    (at d = 3, Delta^2 (-|x|) = 8 pi delta); cosh(c |x|) sums |x|^(2k) with
+    positive coefficients; softplus^2 has Delta^2 < 0 at 2.21 < r < 5.99 in R^3."""
+    s_p2, p_d = fn.sign * (fn.param - 2.0), fn.param + d
+    if fn.kind == "cosh":
+        failed = None if fn.sign > 0 else "a cosh profile needs sign > 0"
+    elif fn.kind != "power":
+        failed = f"{fn.kind} has no certificate"
+    elif fn.param in (0.0, 2.0) or (s_p2 > 0 and p_d >= 4):
+        failed = None
+    else:
+        failed = f"p + d = {p_d:g} < 4" if s_p2 > 0 else f"sign (p - 2) = {s_p2:g} <= 0"
+    if failed:
+        raise ValueError(f"{fn.label} is not certified bisubharmonic for d={d} ({failed})")
 
 
 def _vs_gauss(fn, a, d, t2, samples, seed, alpha) -> ComparisonVerdict:

@@ -176,9 +176,9 @@ def _cos_draw(rng: np.random.Generator, d: int, size: int):
 
 
 def _cos_column(d: int, draw) -> np.ndarray:
-    """The column of C at d from its ``_cos_draw``: at d outside
-    {1, 2, 3, 5}, sin(theta) times sqrt(1 - (1-V)^(2/(d-2)))."""
-    if d in (1, 2, 3, 5):
+    """The column of C at d from its ``_cos_draw``: a finished column as it
+    is, else sin(theta) times sqrt(1 - (1-V)^(2/(d-2)))."""
+    if not isinstance(draw, tuple):
         return draw
     s, v = draw
     c = np.multiply(v, 2.0 / (d - 2))

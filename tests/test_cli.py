@@ -252,6 +252,21 @@ class TestCheckCommand:
         assert code == 0
         assert "lhs=6" in out and "rhs=8" in out and "HOLDS" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gauss", "--coeffs", "0.6,0.8"], ["bc", "--a-sq", "1,0", "--b-sq", "0.5,0.5"]],
+        ids=["gauss", "bc"],
+    )
+    def test_softplus_squared_is_refused(self, capsys, argv):
+        # its bi-Laplacian is negative for 2.21 < r < 5.99 in R^3, where the
+        # quadrature's default centres |y| in {0, 1, 2} once passed it
+        code, out, err = run_cli(capsys, "check", *argv, "--f", "softplus_squared", "--d", "3")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: softplus_squared is not certified bisubharmonic for d=3 "
+            "(softplus_squared has no certificate)\n"
+        )
+
     def test_bc_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "bc", "--f", "power4", "--a-sq", "1,0",

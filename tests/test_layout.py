@@ -13,7 +13,8 @@ calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
 u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
 takes that tail, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
-``sampling.cos_rule`` integrates against the law of C, ``cos_marginal``
+``sampling.cos_rule`` integrates against the law of C, only ``cli._bisub``
+runs ``is_bisubharmonic_numeric``, ``cos_marginal``
 and the draws ``_cos_draw`` and ``_cos_column`` behind it evaluate no
 cosine or sine, only ``report.csv_text`` and ``report.json_text`` write CSV
 and JSON (``cli`` imports neither ``csv``, ``io`` nor ``json``), only
@@ -284,6 +285,12 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
     # cos_rule integrates against the law that cos_marginal samples, so the
     # quadrature of C lives beside its sampler and is built in one place
     assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
+
+
+def test_only_check_bisub_runs_the_numerical_bisub_test():
+    # gauss and bc certify a profile by a closed-form rule; the quadrature at
+    # a few centres decides only `check bisub`, which names its centres
+    assert _callers_of("is_bisubharmonic_numeric") == [("cli.py", "_bisub")]
 
 
 def test_the_sampler_of_c_evaluates_no_cosine_or_sine():

@@ -3,6 +3,10 @@ moment-comparison checks."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,9 +35,34 @@ from spheretail import (
     softplus_squared,
 )
 from spheretail import sampling
-from spheretail.moment_compare import majorization_failure
+from spheretail.cli import main
+from spheretail.moment_compare import _certify_comparison_function, majorization_failure
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
+
+
+#: the digest of ``quadrature_margins_digest`` for each x86 kernel family:
+#: numpy's AVX-512 float64 power, cosh and logaddexp round some last bits
+#: differently from its AVX2 and baseline kernels, which agree
+MARGIN_DIGESTS = {
+    "AVX-512": "cb3a24660ac476f24f7b9d56287c6908ba9d32976af3f72b693eab4bd163f9d4",
+    "AVX2 or baseline": "fb09ab85f603ecf81a0bdb59c3808babd92f893ad9bf814c582401d6daa28c56",
+}
+#: a process started with this environment takes numpy's AVX2 or baseline kernels
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def quadrature_margins_digest() -> str:
+    """sha256 of the repr of every quadrature margin of seven profiles at
+    d in {1, 2, 3, 5, 10}, bit for bit."""
+    fns = [power(0.5), power(3), power(6), cosh_profile(1.0), cosh_profile(2.0),
+           softplus_squared(), power(4).negate()]
+    text = "".join(
+        repr([tr.margin for tr in is_bisubharmonic_numeric(fn, d, method="quadrature").triples])
+        for fn in fns
+        for d in (1, 2, 3, 5, 10)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_majorized_pair(rng, n: int) -> MajorizationPair:
@@ -170,16 +199,36 @@ class TestIsBisubharmonic:
             assert [tr.se for tr in triples] == pytest.approx(se.tolist(), rel=1e-9)
 
     def test_quadrature_margins_are_pinned(self):
-        # every margin bit for bit as the per-call Gauss-Legendre rule gave it
-        fns = [power(0.5), power(3), power(6), cosh_profile(1.0), cosh_profile(2.0),
-               softplus_squared(), power(4).negate()]
-        text = "".join(
-            repr([tr.margin for tr in is_bisubharmonic_numeric(fn, d, method="quadrature").triples])
-            for fn in fns
-            for d in (1, 2, 3, 5, 10)
+        # every margin bit for bit as the per-call Gauss-Legendre rule gave it,
+        # on one of the two x86 kernel families
+        assert quadrature_margins_digest() in MARGIN_DIGESTS.values()
+
+    def test_pins_hold_without_avx512(self, capsys):
+        # a fresh process without numpy's AVX-512 kernels gives the other
+        # margin digest, and a verify report byte for byte as this one does:
+        # a hit count changes only for a norm within rounding of a threshold
+        argv = ["verify", "--d", "1,2,3,5,10,30,100", "--n", "1,2,5,10",
+                "--patterns", "equal,single,geometric:0.5", "--samples", "65536",
+                "--seed", "5", "--format", "csv"]
+        code = (
+            "from spheretail.cli import main; from test_moment_compare import "
+            f"quadrature_margins_digest as digest; print(digest()); main({argv!r})"
         )
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "cb3a24660ac476f24f7b9d56287c6908ba9d32976af3f72b693eab4bd163f9d4"
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path, **NO_AVX512},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digest, report = done.stdout.split("\n", 1)
+        assert digest == MARGIN_DIGESTS["AVX2 or baseline"]
+        main(argv)
+        assert report == capsys.readouterr().out
 
     def test_quadrature_rule_is_built_once(self, monkeypatch):
         calls = []
@@ -188,8 +237,8 @@ class TestIsBisubharmonic:
             np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg)
         )
         sampling._angle_rule.cache_clear()
-        for d in (2, 3, 5, 10):  # each check certifies cosh by quadrature
-            gaussian_comparison_check(cosh_profile(1.0), (0.6, 0.8), d, samples=1000)
+        for d in (2, 3, 5, 10):
+            is_bisubharmonic_numeric(cosh_profile(1.0), d, method="quadrature")
         assert calls == [257]
 
     def test_cosh_passes_both_methods(self):
@@ -257,6 +306,63 @@ class TestIsBisubharmonic:
         # as an inconclusive report with margin nan
         with pytest.raises(ValueError, match="t_grid must be finite"):
             is_bisubharmonic_numeric(power(4), 3, t_grid=t_grid, method=method)
+
+
+_CERTIFY_POWERS = (0, 0.25, 0.5, 1, 1.5, 1.75, 2, 2.25, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6, 7, 8)
+_CERTIFY_PROFILES = [fn for p in _CERTIFY_POWERS for fn in (power(p), power(p).negate())] + [
+    cosh_profile(0.5), cosh_profile(1.0), cosh_profile(2.0), cosh_profile(1.0).negate(),
+    softplus_squared(), softplus_squared().negate(),
+]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 10, 30])
+    @pytest.mark.parametrize("fn", _CERTIFY_PROFILES, ids=lambda fn: fn.label)
+    def test_certificate_is_the_quadrature_pass(self, fn, d):
+        # the closed-form rule accepts exactly where the default-centre
+        # quadrature passes, except softplus^2 at d >= 3: its negative band
+        # lies between those centres
+        passed = is_bisubharmonic_numeric(fn, d, method="quadrature").status == "pass"
+        false_pass = fn.kind == "softplus_squared" and d >= 3
+        try:
+            _certify_comparison_function(fn, d)
+        except ValueError as exc:
+            assert not passed or false_pass
+            assert str(exc).startswith(f"{fn.label} is not certified bisubharmonic for d={d} (")
+        else:
+            assert passed and not false_pass
+
+    @pytest.mark.parametrize("d, y", [(3, 3.0), (5, 4.0)])
+    def test_softplus_squared_fails_inside_its_negative_band(self, d, y):
+        assert is_bisubharmonic_numeric(softplus_squared(), d, method="quadrature").passed
+        report = is_bisubharmonic_numeric(softplus_squared(), d, y_set=[y], method="quadrature")
+        assert report.status == "fail"
+
+    def test_negated_norm_is_certified_in_three_dimensions(self):
+        # Delta^2 (-|x|) = 8 pi delta in R^3, so the sign decides: |x| itself
+        # is refused there, and -|x| is refused in R^2
+        _certify_comparison_function(power(1).negate(), 3)
+        with pytest.raises(ValueError, match=r"\(sign \(p - 2\) = -1 <= 0\)$"):
+            _certify_comparison_function(power(1), 3)
+        with pytest.raises(ValueError, match=r"\(p \+ d = 3 < 4\)$"):
+            _certify_comparison_function(power(1).negate(), 2)
+
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (power(2.5), "power2.5 is not certified bisubharmonic for d=1 (p + d = 3.5 < 4)"),
+            (power(3).negate(),
+             "-power3 is not certified bisubharmonic for d=1 (sign (p - 2) = -1 <= 0)"),
+            (cosh_profile(2.0).negate(),
+             "-cosh2 is not certified bisubharmonic for d=1 (a cosh profile needs sign > 0)"),
+            (softplus_squared(), "softplus_squared is not certified bisubharmonic for d=1 "
+             "(softplus_squared has no certificate)"),
+        ],
+    )
+    def test_refusal_names_the_failed_condition(self, fn, message):
+        with pytest.raises(ValueError) as info:
+            _certify_comparison_function(fn, 1)
+        assert str(info.value) == message
 
 
 class TestSchurMajorization:
