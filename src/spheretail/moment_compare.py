@@ -348,12 +348,12 @@ def is_bisubharmonic_numeric(
         raise ValueError("t_grid needs at least 3 points")
     if not np.all(np.isfinite(ts)) or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be finite, positive and strictly increasing")
-    norms = [math.sqrt(sum_sq(np.atleast_1d(y))) for y in y_set]
+    norms = [math.hypot(*np.atleast_1d(y)) for y in y_set]
     if not norms:
         raise ValueError("y_set must be nonempty")
-    if not all(np.isfinite(np.atleast_1d(y)).all() for y in y_set):
+    if not all(map(math.isfinite, norms)):
         raise ValueError(f"centre norms must be finite, got {norms}")
-    _finite(norms, "the squared norm of a centre")
+    _finite([y * y for y in norms], "the squared norm of a centre")
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -464,15 +464,15 @@ def gaussian_fourth_moment(coeffs: Sequence[float], d) -> float:
 
 def _exact_sphere_side(fn: TestFunction, sq: Sequence[float], d: int) -> tuple[float | None, str]:
     """(E h(||sum a_i U_i||), method) from sq = (a_i^2), or (None, "") when
-    no exact law is known.  One coefficient gives the constant norm
-    sqrt(sq[0]) = |a_1| (a correctly rounded root of a correctly rounded
-    square); powers 2 and 4 have the closed forms of ``_moments``."""
-    if len(sq) == 1:
+    no exact law is known.  Powers 2 and 4 are the sign times the closed
+    forms of ``_moments`` (the ``oracle m2``/``m4`` values) at every length;
+    any other profile of one coefficient has the constant norm sqrt(sq[0]) = |a_1|."""
+    if fn.kind == "power" and fn.param in (2.0, 4.0):
+        m2, m4 = _moments(sq, d)
+        value, method = fn.sign * (m2 if fn.param == 2.0 else m4), f"exact-m{fn.param:g}"
+    elif len(sq) == 1:
         with np.errstate(over="ignore"):  # _finite rejects the result
             value, method = float(fn.h(math.sqrt(sq[0]))), "exact-constant-norm"
-    elif fn.kind == "power" and fn.param in (2.0, 4.0) and fn.sign > 0:
-        m2, m4 = _moments(sq, d)
-        value, method = (m2, "exact-m2") if fn.param == 2.0 else (m4, "exact-m4")
     else:
         return None, ""
     return _finite(value, f"E {fn.label}(||sum a_i U_i||)"), method
@@ -576,8 +576,8 @@ def bc_comparison_check(
 ) -> ComparisonVerdict:
     """Check E f(sum a_i U_i) <= E f(sum b_i U_i) for (b^2) majorized by (a^2).
 
-    One coefficient and the powers 2 and 4 are settled exactly (for the
-    second moment the two sides coincide, otherwise the margin is exact).
+    Powers 2 and 4 (the moment oracles) and one coefficient are settled
+    exactly (for the second moment the two sides coincide, otherwise the margin is exact).
     Other certified profiles are compared by Monte Carlo with common random
     numbers: both radial chains reuse the same cosine draws, which leaves
     each side's marginal law unchanged but shrinks the variance of the
@@ -623,8 +623,8 @@ def gaussian_comparison_check(
     """Check E f(sum a_i U_i) <= E f(a Z_d), a = sqrt(sum a_i^2 / d).
 
     The Gaussian side is exact (a chi moment for powers, quadrature
-    otherwise); the sphere side is exact for one coefficient and for powers
-    2 and 4, and Monte Carlo otherwise.
+    otherwise); the sphere side is the moment oracle for powers 2 and 4 at
+    every length and sign, exact for one coefficient, and Monte Carlo otherwise.
     """
     d = check_dimension(d)
     a = coeff_array(coeffs)
@@ -669,7 +669,7 @@ def lemma2_hypothesis_check(
         raise ValueError("xi_samples must be a 1-d sample with >= 2 points")
     if not np.all(np.isfinite(xi)) or np.any(xi < 0):
         raise ValueError("xi_samples must be finite and nonnegative")
-    z = _z(alpha)
+    _z(alpha)  # a bad alpha fails before any profile is evaluated
 
     results = []
     for fn in h_suite:
@@ -686,16 +686,16 @@ def lemma2_hypothesis_check(
             lhs = float(vals.mean())
             lhs_se = float(vals.std(ddof=1) / math.sqrt(xi.size))
         _finite([lhs, lhs_se], f"E {fn.label}(xi)")
-        margin = rhs - lhs
-        verdict = judge(margin - z * lhs_se, margin + z * lhs_se)
-        conclusive = verdict != "INCONCLUSIVE"
-        if verdict == "VIOLATED":
-            note = "empirical mean conclusively exceeds the Gaussian side"
+        v = _verdict(lhs, rhs, rhs - lhs, lhs_se, alpha, "")
+        if v.verdict == "VIOLATED":
+            verdict, note = v.verdict, "empirical mean conclusively exceeds the Gaussian side"
         else:
             verdict = "CONSISTENT"
             note = "consistent with the hypothesis (finite suite, not a proof)"
         results.append(
-            HypothesisResult(fn.label, verdict, lhs, lhs_se, rhs, margin, conclusive, report, note)
+            HypothesisResult(
+                fn.label, verdict, lhs, lhs_se, rhs, v.margin, v.conclusive, report, note
+            )
         )
     return results
 
@@ -710,8 +710,8 @@ def kwapien_check(
 ) -> ComparisonVerdict:
     """Check E ||sum a_i U_i||^p <= E ||a Z_d sqrt(d)||^p for real p >= 3.
 
-    The right side is exact, (sum a_i^2)^(p/2) * E||Z_d||^p; the left side
-    is exact for one coefficient and for p = 4, and Monte Carlo otherwise.
+    The right side is exact, (sum a_i^2)^(p/2) * E||Z_d||^p; the left side is
+    ``fourth_moment_exact`` at p = 4, exact for one coefficient, and Monte Carlo otherwise.
     p below 3 is outside the cited comparison and rejected.
     """
     d = check_dimension(d)

@@ -351,7 +351,6 @@ def test_every_comparator_scale_goes_through_scale():
     assert _callers_of("sum_sq") == [
         ("bounds.py", "coeff_array"),
         ("bounds.py", "scale"),
-        ("moment_compare.py", "is_bisubharmonic_numeric"),
         ("moment_compare.py", "second_moment_exact"),
     ]
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spheretail
 from spheretail import (
     MajorizationPair,
     RngStream,
@@ -280,6 +281,14 @@ class TestIsBisubharmonic:
         # at y = 0 the profile is sqrt t <= 2; the report keeps the largest atol
         assert alone.atol == 2e-9 and both.atol > 0.09
 
+    def test_a_plain_centre_norm_is_kept_exactly(self):
+        # the norm of a tiny centre is not taken through its subnormal square
+        report = is_bisubharmonic_numeric(power(4), 3, y_set=[1e-160], method="quadrature")
+        assert {t.y_norm for t in report.triples} == {1e-160}
+        centre = [3e-160, -4e-160]
+        report = is_bisubharmonic_numeric(power(4), 3, y_set=[centre], method="quadrature")
+        assert {t.y_norm for t in report.triples} == {5e-160}
+
     def test_centre_whose_square_overflows_is_named(self):
         for y in (1e200, [1e154, 1e154]):
             with pytest.raises(ValueError, match="^the squared norm of a centre overflows"):
@@ -490,13 +499,34 @@ class TestGaussianComparison:
         assert verdict.margin_se == 0.0 and verdict.holds
 
     def test_second_moment_match_is_exact_in_every_dimension(self):
-        # E ||a Z_d||^2 is sum a_i^2 itself, not (sum a_i^2 / d) * d, so the
-        # margin is exactly 0 for every coefficient count and dimension
+        # E ||a Z_d||^2 is sum a_i^2 itself, not (sum a_i^2 / d) * d, and the
+        # sphere side is the same sum, so the margin is exactly 0 for every
+        # coefficient count, dimension and sign (pow(a, 2) is not correctly
+        # rounded: it put the square of 0.9411298971417253 1 ulp high)
         rng = np.random.default_rng(17)
         for d in range(1, 61):
             coeffs = rng.uniform(0.1, 2.0, size=int(rng.integers(1, 6)))
-            verdict = gaussian_comparison_check(power(2), coeffs, d)
-            assert verdict.margin == 0.0 and verdict.holds
+            singles = [[a] for a in (0.9411298971417253, *rng.uniform(0.1, 10.0, 2000))]
+            for c in (coeffs, *singles):
+                for fn in (power(2), power(2).negate()):
+                    verdict = gaussian_comparison_check(fn, c, d)
+                    assert (verdict.margin, verdict.margin_se) == (0.0, 0.0), (fn.label, c, d)
+                    assert verdict.method == "exact-m2" and verdict.holds
+
+    def test_powers_2_and_4_are_the_moment_oracles_at_every_length(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            coeffs, d = rng.uniform(0.1, 10.0, int(rng.integers(1, 4))), int(rng.integers(1, 9))
+            two = gaussian_comparison_check(power(2), coeffs, d)
+            four = gaussian_comparison_check(power(4), coeffs, d)
+            assert (two.lhs, two.method) == (second_moment_exact(coeffs), "exact-m2")
+            assert (four.lhs, four.method) == (fourth_moment_exact(coeffs, d), "exact-m4")
+            assert kwapien_check(coeffs, d, 4).lhs == four.lhs
+
+    def test_sign_scales_both_sides(self):
+        fn = spheretail.TestFunction("power", 4.0, sign=2.0)
+        verdict = gaussian_comparison_check(fn, [1.0, 1.0], 2)
+        assert (verdict.lhs, verdict.rhs, verdict.margin) == (12.0, 16.0, 4.0)
 
     def test_cosh_mc_vs_quadrature(self):
         verdict = gaussian_comparison_check(
