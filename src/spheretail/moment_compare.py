@@ -5,7 +5,8 @@ This module turns the structural hypotheses behind the tail-comparison
 bounds into testable predicates:
 
 * class-C membership of a scalar profile h (even, twice differentiable,
-  with convex second derivative), decided by finite differences on a grid;
+  with convex second derivative), decided in closed form from its kind,
+  exponent and sign;
 * numerical bisubharmonicity of the radial lift f(x) = h(||x||), via the
   equivalence "f bisubharmonic iff t -> E f(y + U sqrt t) is convex on
   (0, oo) for every center y", by Monte Carlo or by ``sampling.cos_rule``
@@ -171,81 +172,6 @@ def _mc_means(
         m2 = np.sum(m2s, axis=0) + sizes @ (totals / sizes[:, None] - means) ** 2
     _finite(np.append(means, m2), "a Monte Carlo mean or its error")
     return [(float(m), math.sqrt(v / (samples - 1) / samples)) for m, v in zip(means, m2)]
-
-
-# ---------------------------------------------------------------------------
-# Class-C membership
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassCReport:
-    """Diagnostics for the class-C membership check."""
-
-    passed: bool
-    even_ok: bool
-    second_derivative_convex: bool
-    max_evenness_violation: float
-    min_convexity_margin: float
-    tol: float
-    n_points: int
-    warnings: tuple[str, ...] = ()
-
-
-def is_class_c(fn: TestFunction, grid=None) -> ClassCReport:
-    """Decide class-C membership of h on a symmetric grid.
-
-    Checks (i) evenness h(-x) = h(x) at the grid points and (ii) convexity
-    of a finite-difference second derivative h'' via its (nonuniform-safe)
-    second differences, which must stay above -tol, where tol is 1e-6 times
-    the scale of h''.  Grids with fewer than 21 points are flagged as coarse
-    in the report's warnings rather than silently trusted.
-    """
-    x = np.linspace(-2.0, 2.0, 81) if grid is None else np.asarray(grid, dtype=float)
-    if x.ndim != 1 or x.size < 5:
-        raise ValueError("grid must be a 1-d sequence with at least 5 points")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    span = float(x[-1] - x[0])
-    if not np.allclose(x, -x[::-1], atol=1e-12 * max(1.0, span), rtol=0.0):
-        raise ValueError("grid must be symmetric about 0")
-    warnings: list[str] = []
-    if x.size < 21:
-        warnings.append(
-            f"grid has only {x.size} points; the finite-difference "
-            "classification may miss curvature defects"
-        )
-
-    with np.errstate(all="ignore"):  # _finite rejects the result
-        y = fn.h(x)
-        # 3-point second derivative at interior points (nonuniform-safe)
-        dl = x[1:-1] - x[:-2]
-        dr = x[2:] - x[1:-1]
-        dd = x[2:] - x[:-2]
-        h2 = 2.0 * (y[:-2] / (dl * dd) - y[1:-1] / (dr * dl) + y[2:] / (dr * dd))
-        x2 = x[1:-1]
-        # discrete convexity of h'': slope increments scaled back to plain
-        # second differences on a uniform grid
-        slopes = np.diff(h2) / np.diff(x2)
-        second_diff = np.diff(slopes) * 0.5 * (x2[2:] - x2[:-2])
-    _finite(np.append(y, second_diff), f"{fn.label} on the grid")
-    h_scale = max(1.0, float(np.abs(y).max()))
-    evenness_violation = float(np.abs(y - y[::-1]).max())
-    even_ok = evenness_violation <= 1e-9 * h_scale
-    tol = 1e-6 * max(1.0, float(np.abs(h2).max()))
-    min_margin = float(second_diff.min())  # a grid of 5 or more points has one
-    convex_ok = min_margin >= -tol
-
-    return ClassCReport(
-        passed=even_ok and convex_ok,
-        even_ok=even_ok,
-        second_derivative_convex=convex_ok,
-        max_evenness_violation=evenness_violation,
-        min_convexity_margin=min_margin,
-        tol=tol,
-        n_points=int(x.size),
-        warnings=tuple(warnings),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +476,40 @@ def _certify_comparison_function(fn: TestFunction, d: int) -> None:
         raise ValueError(f"{fn.label} is not certified bisubharmonic for d={d} ({failed})")
 
 
+@dataclass(frozen=True)
+class ClassCReport:
+    """Class-C membership of a profile; ``failed`` names the condition that
+    fails, and is empty when the profile passes."""
+
+    passed: bool
+    failed: str
+
+
+def is_class_c(fn: TestFunction) -> ClassCReport:
+    """Decide class C (h even, twice differentiable, with convex h'') in
+    closed form; every profile is even.  s |x|^p has h'' = s p (p-1)
+    |x|^(p-2): constant at p in {0, 2}, unbounded at 0 for p < 2, not convex
+    for 2 < p < 3, and convex for p >= 3 iff s > 0.  s cosh(c x) has
+    h'' = s c^2 cosh(c x), convex iff s > 0.  softplus^2 has h'''' < 0 at
+    1.028 < |x| < 4.003 and h'''' = 0.403 at 0, so neither sign passes."""
+    p = fn.param
+    if fn.kind == "cosh":
+        failed = "" if fn.sign > 0 else "a cosh profile needs sign > 0"
+    elif fn.kind == "softplus_squared":
+        failed = "h'''' < 0 at 1.028 < |x| < 4.003" if fn.sign > 0 else "h'''' < 0 at x = 0"
+    elif fn.kind != "power":
+        failed = f"{fn.kind} has no class-C rule"
+    elif p in (0.0, 2.0) or (p >= 3.0 and fn.sign > 0):
+        failed = ""
+    elif p < 2.0:
+        failed = f"p = {p:g} < 2 leaves h'' unbounded at 0"
+    elif p < 3.0:
+        failed = f"h'' ~ |x|^(p-2) is not convex for 2 < p = {p:g} < 3"
+    else:
+        failed = "a power p >= 3 needs sign > 0"
+    return ClassCReport(not failed, failed)
+
+
 def _vs_gauss(fn, a, d, t2, samples, seed, alpha) -> ComparisonVerdict:
     """The verdict on E h(||sum a_i U_i||) <= E h(sqrt(t2 / d) ||Z_d||).
 
@@ -658,10 +618,10 @@ def lemma2_hypothesis_check(
     """Check E h(xi) <= E h(||Z_d||) against an empirical sample of xi for
     each profile in the suite.
 
-    Any profile failing the class-C test is skipped (its result records the
-    failed report).  A finite suite is necessarily a partial certificate:
-    outcomes are "consistent with the hypothesis" or "violated", never
-    "proven".
+    A profile that the closed-form rule ``is_class_c`` puts outside class C
+    is skipped, and its result's ``class_c`` names the failed condition.  A
+    finite suite is necessarily a partial certificate: outcomes are
+    "consistent with the hypothesis" or "violated", never "proven".
     """
     d = check_dimension(d)
     xi = np.asarray(xi_samples, dtype=float)

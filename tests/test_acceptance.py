@@ -13,10 +13,12 @@ import math
 import numpy as np
 import pytest
 
+import spheretail
 from spheretail import (
     MajorizationPair,
     bc_comparison_check,
     chi_tail,
+    cosh_profile,
     exact_rademacher_tail,
     fourth_moment_exact,
     gaussian_comparison_check,
@@ -30,6 +32,7 @@ from spheretail import (
     power,
     q_lower,
     run_sweep,
+    softplus_squared,
 )
 from spheretail.cli import main as cli_main
 
@@ -207,6 +210,16 @@ def test_criterion_09_classifiers():
                         3: True, 3.5: True, 4: True, 5: True}
     for p, expected in analytic_class_c.items():
         assert is_class_c(power(p)).passed is expected, f"power{p}"
+    # the closed-form rule decides by kind, exponent and sign however small
+    # h'' is, and evaluates nothing, so cosh400 cannot overflow
+    rule = {cosh_profile(rate).negate(): False for rate in (0.01, 0.05, 0.1, 0.14)}
+    profile = spheretail.TestFunction
+    rule |= {profile("power", 4.0, -1e-5): False, profile("power", 2.5, 1e-5): False,
+             profile("power", 4.0, 1e-5): True, power(2).negate(): True,
+             cosh_profile(400.0): True, softplus_squared(): False,
+             softplus_squared().negate(): False}
+    for fn, expected in rule.items():
+        assert is_class_c(fn).passed is expected, fn
 
     for d in (2, 3, 5):
         assert is_bisubharmonic_numeric(power(2), d, seed=0).passed

@@ -240,10 +240,20 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "classc", "--f", "power4")
         assert "true" in out
 
-    def test_classc_warns_on_a_coarse_grid(self, capsys):
+    def test_classc_names_the_failed_condition(self, capsys):
+        # h'' = -0.01 cosh(0.1 x) is concave, however gently
+        code, out, _ = run_cli(capsys, "check", "classc", "--f=-cosh0.1", "--format", "json")
+        assert code == 0
+        failed = "a cosh profile needs sign > 0"
+        assert out.splitlines()[0] == f"-cosh0.1: false ({failed})"
+        assert json.loads(out.split("\n", 1)[1]) == {"passed": False, "failed": failed}
+        # the rule evaluates no profile, so a steep cosh cannot overflow
+        assert run_cli(capsys, "check", "classc", "--f", "cosh400") == (0, "cosh400: true\n", "")
+
+    def test_classc_takes_no_grid(self, capsys):
         code, out, err = run_cli(capsys, "check", "classc", "--f", "power4", "--grid=-1:1:7")
-        assert code == 0 and "true" in out
-        assert err.startswith("warning: grid has only 7 points; ")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --grid=-1:1:7" in err
 
     def test_gauss_power4(self, capsys):
         code, out, _ = run_cli(
@@ -370,6 +380,24 @@ class TestCheckCommand:
         assert code == 0
         assert out.count("CONSISTENT") == 2
 
+    def test_lemma2_skip_names_the_failed_condition(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "lemma2", "--xi-coeffs", "0.6,0.8", "--d", "3",
+            "--h=-cosh0.1,power2.5", "--samples", "20000", "--format", "json",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "-cosh0.1: SKIPPED_CLASS_C (a cosh profile needs sign > 0)",
+            "power2.5: SKIPPED_CLASS_C (h'' ~ |x|^(p-2) is not convex for 2 < p = 2.5 < 3)",
+        ]
+        doc = json.loads("\n".join(lines[2:]))
+        assert [r["class_c"] for r in doc] == [
+            {"passed": False, "failed": "a cosh profile needs sign > 0"},
+            {"passed": False, "failed": "h'' ~ |x|^(p-2) is not convex for 2 < p = 2.5 < 3"},
+        ]
+        assert all(math.isnan(r["lhs"]) and r["verdict"] == "SKIPPED_CLASS_C" for r in doc)
+
     def test_missing_flag_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "gauss", "--coeffs", "1,1", "--d", "2")
         assert code == 2 and "--f" in err
@@ -492,7 +520,7 @@ INVOCATIONS = [
     ["oracle", "m2", "--coeffs", "3,4"],
     ["oracle", "m4", "--coeffs", "1,1", "--d", "2"],
     ["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--format", "json"],
-    ["check", "classc", "--f", "power4", "--grid=-3:3:61", "--format", "json"],
+    ["check", "classc", "--f", "power4", "--format", "json"],
     ["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "0,1", "--t-grid", "0.5:2:4",
      "--format", "json"],
     ["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2",
@@ -1036,7 +1064,8 @@ class TestInputErrors:
             (["bound", "--d", "2", "--coeffs", "1,1", "--u-linear", "0:3:1"],
              "COUNT must be >= 2, got 1"),
             (["verify", "--d", "1", "--u-linear", "0:3:1"], "COUNT must be >= 2, got 1"),
-            (["check", "classc", "--f", "power4", "--grid", "0:3:0"], "COUNT must be >= 2, got 0"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "0:3:0"],
+             "COUNT must be >= 2, got 0"),
             (["verify", "--d", "1", "--u-linear", "0:inf:3"],
              "LO and HI must be finite, got '0:inf:3'"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "nan:2:4"],
@@ -1065,8 +1094,8 @@ class TestInputErrors:
             (["check", "bc", "--f", "power4", "--a-sq", "1e200,0", "--b-sq", "5e199,5e199",
               "--d", "3"],
              "E power4(||sum a_i U_i||) overflows double precision"),
-            (["check", "classc", "--f", "cosh", "--grid=-1000:1000:81"],
-             "cosh1 on the grid overflows double precision"),
+            (["check", "bisub", "--f", "cosh", "--d", "3", "--t-grid", "1:1e6:3"],
+             "E cosh1(||y + U sqrt t||) on the t grid overflows double precision"),
             (["check", "bc", "--f", "cosh", "--a-sq", "6e5,4e5", "--b-sq", "5e5,5e5", "--d", "3"],
              "a Monte Carlo mean or its error overflows double precision"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3"],
@@ -1077,8 +1106,8 @@ class TestInputErrors:
             # a grid whose span HI - LO overflows
             (["bound", "--d", "2", "--coeffs", "1", "--u-linear=-1e308:1e308:3"],
              "argument --u-linear: the span HI - LO overflows, got '-1e308:1e308:3'"),
-            (["check", "classc", "--f", "power4", "--grid=-1e308:1e308:5"],
-             "argument --grid: the span HI - LO overflows, got '-1e308:1e308:5'"),
+            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid=-1e308:1e308:5"],
+             "argument --t-grid: the span HI - LO overflows, got '-1e308:1e308:5'"),
             # squared coefficients whose sum overflows
             (["check", "schur", "--a-sq", "1e308,1e308", "--b-sq", "1e308,1e307"],
              "the sum of a_sq overflows double precision"),

@@ -22,7 +22,9 @@ and JSON (``cli`` imports neither ``csv``, ``io`` nor ``json``), only
 goes through ``bounds.scale``, and the messages of the alpha, threshold and
 command-line usage checks are each written once.
 Importing the package loads neither ``scipy.stats``, which it does not
-need, nor ``scipy.integrate``, which one function needs.
+need, nor ``scipy.integrate``, which one function needs.  The benchmark's
+``perfbench/selftest.py`` passes, so no change to the package breaks the
+benchmark's output checks unseen.
 """
 
 import ast
@@ -393,3 +395,17 @@ def test_import_does_not_load_scipy_stats():
         check=True,
     )
     assert done.stdout.strip() == "set()"
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # its output checks include the classc and lemma2 verdicts; a fresh
+    # interpreter in a scratch directory, writing no bytecode, leaves the
+    # tree untouched
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -7,8 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,11 @@ from spheretail import (
 )
 from spheretail import sampling
 from spheretail.cli import main
-from spheretail.moment_compare import _certify_comparison_function, majorization_failure
+from spheretail.moment_compare import (
+    ClassCReport,
+    _certify_comparison_function,
+    majorization_failure,
+)
 
 from coefficient_strategies import coefficient_lists, signs_and_order_moved
 
@@ -121,29 +125,58 @@ class TestIsClassC:
     def test_negated_power_fails_convexity(self):
         report = is_class_c(power(4).negate())
         assert not report.passed
-        assert report.even_ok
-        assert not report.second_derivative_convex
+        assert report.failed == "a power p >= 3 needs sign > 0"
 
-    def test_odd_table_fails_evenness(self):
-        # x^3 has a convex h'' (6x) but is odd; the stub has just the h and
-        # label that is_class_c reads
-        odd = SimpleNamespace(h=lambda x: np.asarray(x, dtype=float) ** 3, label="cube")
-        report = is_class_c(odd, grid=np.linspace(-1.9, 1.9, 41))
-        assert not report.passed
-        assert not report.even_ok
+    # the rule's table: s |x|^p passes iff p in {0, 2} or (p >= 3 and s > 0),
+    # s cosh(c x) iff s > 0, and softplus^2 at neither sign
+    @pytest.mark.parametrize(
+        "fn, failed",
+        [
+            (power(0), ""),
+            (power(0).negate(), ""),
+            (power(2), ""),
+            (power(2).negate(), ""),
+            (power(3), ""),
+            (power(7.5), ""),
+            (spheretail.TestFunction("power", 4.0, 1e-5), ""),
+            (power(0.5), "p = 0.5 < 2 leaves h'' unbounded at 0"),
+            (power(1).negate(), "p = 1 < 2 leaves h'' unbounded at 0"),
+            (power(2.5), "h'' ~ |x|^(p-2) is not convex for 2 < p = 2.5 < 3"),
+            (power(2.95).negate(), "h'' ~ |x|^(p-2) is not convex for 2 < p = 2.95 < 3"),
+            (power(3).negate(), "a power p >= 3 needs sign > 0"),
+            (spheretail.TestFunction("power", 4.0, -1e-5), "a power p >= 3 needs sign > 0"),
+            (spheretail.TestFunction("power", 2.5, 1e-5),
+             "h'' ~ |x|^(p-2) is not convex for 2 < p = 2.5 < 3"),
+            (cosh_profile(0.1), ""),
+            (cosh_profile(400.0), ""),  # nothing is evaluated, so nothing overflows
+            (spheretail.TestFunction("cosh", 1.0, 1e-5), ""),
+            # h'' = -c^2 cosh(c x) is concave however small the rate c
+            *((cosh_profile(c).negate(), "a cosh profile needs sign > 0")
+              for c in (0.01, 0.05, 0.1, 0.14, 2.0)),
+            (softplus_squared(), "h'''' < 0 at 1.028 < |x| < 4.003"),
+            (softplus_squared().negate(), "h'''' < 0 at x = 0"),
+        ],
+        ids=lambda v: (
+            f"{v.kind}{v.param:g}*{v.sign:g}" if isinstance(v, spheretail.TestFunction)
+            else "fails" if v else "passes"
+        ),
+    )
+    def test_rule_table(self, fn, failed):
+        assert is_class_c(fn) == ClassCReport(failed == "", failed)
 
-    def test_coarse_grid_flagged(self):
-        report = is_class_c(power(4), grid=np.linspace(-2, 2, 7))
-        assert report.warnings
-        assert "7 points" in report.warnings[0]
+    def test_softplus_squared_fourth_derivative_reference(self):
+        # the band and the value at 0 that the rule's softplus^2 entries cite
+        def h(x):
+            return mpmath.log1p(mpmath.exp(x)) ** 2 + mpmath.log1p(mpmath.exp(-x)) ** 2
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            is_class_c(power(2), grid=[0.0, 1.0, 2.0, 3.0, 4.0])  # asymmetric
-        with pytest.raises(ValueError):
-            is_class_c(power(2), grid=[-1.0, 0.0, 1.0])  # too few
-        with pytest.raises(ValueError):
-            is_class_c(power(2), grid=[-1.0, 0.0, 0.0, 0.5, 1.0])  # not increasing
+        def h4(x):
+            return mpmath.diff(h, x, 4)  # the constant -2 ln(2)^2 drops out
+
+        with mpmath.workdps(30):
+            assert h4(2) < 0 < h4(0)
+            assert mpmath.nstr(h4(0), 3) == "0.403"
+            roots = [mpmath.nstr(mpmath.findroot(h4, x0), 4) for x0 in (1, 4)]
+        assert roots == ["1.028", "4.003"]
 
 
 class TestIsBisubharmonic:
@@ -564,6 +597,12 @@ class TestLemma2Hypothesis:
         results = lemma2_hypothesis_check(np.ones(50), 2, [power(2.5), power(4)])
         assert results[0].verdict == "SKIPPED_CLASS_C"
         assert results[1].verdict == "CONSISTENT"
+
+    def test_gently_concave_profile_is_skipped(self):
+        # h'' = -0.01 cosh(0.1 x) is concave; the rule names why it is skipped
+        [res] = lemma2_hypothesis_check(np.ones(50), 3, [cosh_profile(0.1).negate()])
+        assert res.verdict == "SKIPPED_CLASS_C" and math.isnan(res.lhs)
+        assert res.class_c == ClassCReport(False, "a cosh profile needs sign > 0")
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
