@@ -33,6 +33,7 @@ from .moment_compare import (
     MajorizationPair,
     TestFunction,
     bc_comparison_check,
+    bisub_rule,
     cosh_profile,
     fourth_moment_exact,
     gaussian_comparison_check,

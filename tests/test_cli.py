@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
-from spheretail import cosh_profile, is_bisubharmonic_numeric
+from spheretail import bisub_rule, parse_test_function
 from spheretail import __version__, bounds, report
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
@@ -268,13 +268,13 @@ class TestCheckCommand:
         ids=["gauss", "bc"],
     )
     def test_softplus_squared_is_refused(self, capsys, argv):
-        # its bi-Laplacian is negative for 2.21 < r < 5.99 in R^3, where the
-        # quadrature's default centres |y| in {0, 1, 2} once passed it
+        # its bi-Laplacian is negative for 2.21 < r < 5.99 in R^3; the refusal
+        # names the witness radius d + 1 that the rule cites
         code, out, err = run_cli(capsys, "check", *argv, "--f", "softplus_squared", "--d", "3")
         assert code == 2 and out == ""
         assert err == (
             "error: softplus_squared is not certified bisubharmonic for d=3 "
-            "(softplus_squared has no certificate)\n"
+            "(Delta^2 f < 0 at |x| = 4)\n"
         )
 
     def test_bc_json(self, capsys):
@@ -290,32 +290,65 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "bisub", "--f", "neg_power4", "--d", "3")
         assert code == 1 and "fail" in out
 
-    @pytest.mark.parametrize("y_norms", ["0", "0,1e8"])
-    def test_bisub_fails_beside_a_large_centre(self, capsys, y_norms):
-        # the failure at y = 0 stands whatever the other centres' sizes
-        code, out, _ = run_cli(capsys, "check", "bisub", "--f", "power1", "--d", "3",
-                               "--y-norms", y_norms)
-        assert code == 1
-        assert out == "power1 (d=3): fail (min margin=-0.0681483, method=quadrature)\n"
+    @pytest.mark.parametrize(
+        "token, d, line, exit_code",
+        [
+            # Delta^2 f(0) = -c^4 d (d+2) / 3 < 0 at every rate, however small
+            ("-cosh0.01", 3, "-cosh0.01 (d=3): fail (a cosh profile needs sign > 0)", 1),
+            # inside the negative band 2.2 < r < 6.0
+            ("softplus_squared", 3, "softplus_squared (d=3): fail (Delta^2 f < 0 at |x| = 4)", 1),
+            ("-softplus_squared", 30,
+             "-softplus_squared (d=30): fail (Delta^2 f < 0 at |x| = 0)", 1),
+            ("power1", 3, "power1 (d=3): fail (sign (p - 2) = -1 <= 0)", 1),
+            ("power2.5", 1, "power2.5 (d=1): fail (p + d = 3.5 < 4)", 1),
+            ("-power1", 3, "-power1 (d=3): pass", 0),
+            # no witness is checked there, so no counterexample is claimed
+            ("softplus_squared", 60,
+             "softplus_squared (d=60): inconclusive (no witness beyond d = 50)", 0),
+        ],
+    )
+    def test_bisub_line(self, capsys, token, d, line, exit_code):
+        code, out, _ = run_cli(capsys, "check", "bisub", f"--f={token}", "--d", str(d))
+        assert (code, out) == (exit_code, line + "\n")
 
-    def test_bisub_is_decided_by_quadrature(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "bisub", "--f", "cosh", "--d", "5", "--y-norms", "0,1.5",
-            "--t-grid", "0.5:3:6", "--format", "json",
-        )
-        report = is_bisubharmonic_numeric(
-            cosh_profile(1.0), 5, [0.0, 1.5], np.linspace(0.5, 3.0, 6), method="quadrature"
-        )
-        assert code == 0
-        assert json.loads(out[out.index("{") :]) == {
-            "status": report.status, "min_margin": report.min_margin, "method": "quadrature"
-        }
+    def test_bisub_is_the_rule(self, capsys):
+        # the line, the JSON and the exit code on 196 cells: +-power p, +-cosh
+        # at four rates and +-softplus^2, in seven dimensions
+        tokens = [f"{sign}{kind}{v}" for sign in ("", "-") for kind, values in (
+            ("power", ("0", "0.5", "1", "1.5", "2", "2.5", "3", "4", "6")),
+            ("cosh", ("0.01", "0.1", "1", "2")), ("softplus_squared", ("",))) for v in values]
+        for token, d in itertools.product(tokens, (1, 2, 3, 4, 5, 10, 30)):
+            fn = parse_test_function(token)
+            status, failed = bisub_rule(fn, d)
+            code, out, _ = run_cli(capsys, "check", "bisub", f"--f={token}", "--d", str(d),
+                                   "--format", "json")
+            line = f"{fn.label} (d={d}): {status}" + (f" ({failed})" if failed else "")
+            assert out == line + "\n" + report.json_text({"status": status, "failed": failed})
+            assert code == (status == "fail")
+
+    @pytest.mark.parametrize("flag", [["--y-norms", "0,1"], ["--t-grid", "0.5:2:4"]])
+    def test_bisub_centres_and_grid_are_gone(self, capsys, flag):
+        code, out, err = run_cli(capsys, "check", "bisub", "--f", "power4", "--d", "3", *flag)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    @pytest.mark.parametrize(
+        "argv, rhs",
+        [(["gauss", "--coeffs", "1,1", "--f", "cosh20"], "rhs=1.81128301589e+88"),
+         (["lemma2", "--xi-coeffs", "1,1", "--h", "cosh20"], "rhs=1.81128e+88")],
+        ids=["gauss", "lemma2"],
+    )
+    def test_cosh_gaussian_side_is_finite_past_the_quadrature(self, capsys, argv, rhs):
+        # E cosh(20 ||Z_2||) = 1F1(1; 1/2; 200), whose chi-density integrand
+        # overflows before the density decays
+        code, out, _ = run_cli(capsys, "check", *argv, "--d", "2", "--samples", "2000")
+        assert code == 0 and rhs in out
 
     @pytest.mark.parametrize(
         "flag", [["--quadrature"], ["--samples", "5"], ["--seed", "1"], ["--alpha", "0.05"]]
     )
     def test_bisub_takes_no_sampling_flag(self, capsys, flag):
-        assert _declared_flags(("check", "bisub")) == {"f", "d", "y_norms", "t_grid", "format"}
+        assert _declared_flags(("check", "bisub")) == {"f", "d", "format"}
         code, out, err = run_cli(capsys, "check", "bisub", "--f", "power4", "--d", "3", *flag)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
@@ -410,9 +443,9 @@ KIND_CASES = [
     (["check", "bisub", "--f", "power4", "--d", "3"], ["--samples", "5"]),
     (["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2"],
      ["--p", "4"]),
-    (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2"], ["--y-norms", "1"]),
-    (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--y-norms", "1"]),
-    (["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4"], ["--t-grid", "1:2:3"]),
+    (["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2"], ["--p", "4"]),
+    (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"], ["--coeffs", "1"]),
+    (["check", "kwapien", "--coeffs", "1,1", "--d", "2", "--p", "4"], ["--a-sq", "1"]),
     (["oracle", "rademacher", "--coeffs", "1,1", "--u", "1.9"], ["--d", "3"]),
     (["oracle", "m2", "--coeffs", "3,4"], ["--u", "1"]),
     (["oracle", "m4", "--coeffs", "1,1", "--d", "2"], ["--non-strict"]),
@@ -423,7 +456,7 @@ CHECK_CASES = [argv for argv, _ in KIND_CASES if argv[0] == "check"]
 JSON_KEYS = {
     "schur": {"majorizes"},
     "classc": {"passed"},
-    "bisub": {"status", "min_margin", "method"},
+    "bisub": {"status", "failed"},
     "bc": {"verdict", "method"},
     "gauss": {"verdict", "method"},
     "lemma2": {"label", "verdict"},
@@ -521,8 +554,7 @@ INVOCATIONS = [
     ["oracle", "m4", "--coeffs", "1,1", "--d", "2"],
     ["check", "schur", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--format", "json"],
     ["check", "classc", "--f", "power4", "--format", "json"],
-    ["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "0,1", "--t-grid", "0.5:2:4",
-     "--format", "json"],
+    ["check", "bisub", "--f", "power4", "--d", "3", "--format", "json"],
     ["check", "bc", "--f", "power4", "--a-sq", "1,0", "--b-sq", "0.5,0.5", "--d", "2",
      "--samples", "2000", "--seed", "1", "--alpha", "0.05", "--format", "json"],
     ["check", "gauss", "--f", "power4", "--coeffs", "1,1", "--d", "2",
@@ -618,14 +650,14 @@ class TestParserTree:
             return {(p.prog, a.dest): a.default for p in parsers for a in p._actions}
 
         before = copy.deepcopy(defaults())
-        bisub = ["check", "bisub", "--f", "power2", "--d", "3"]
+        gauss = ["check", "gauss", "--f", "power2", "--coeffs", "1,1", "--d", "3"]
         verify = ["verify", "--d", "1", "--format", "csv"]
-        plain = [vars(build_parser().parse_args(argv)) for argv in (bisub, verify)]
-        assert plain[0]["y_norms"] == (0.0, 1.0, 2.0) and plain[1]["n"] == (1,)
-        for argv in (bisub + ["--y-norms", "3"], bisub, verify + ["--n", "2"], verify):
+        plain = [vars(build_parser().parse_args(argv)) for argv in (gauss, verify)]
+        assert plain[0]["seed"] == 0 and plain[1]["n"] == (1,)
+        for argv in (gauss + ["--seed", "3"], gauss, verify + ["--n", "2"], verify):
             assert run_cli(capsys, *argv)[0] == 0
         assert defaults() == before
-        assert [vars(build_parser().parse_args(argv)) for argv in (bisub, verify)] == plain
+        assert [vars(build_parser().parse_args(argv)) for argv in (gauss, verify)] == plain
 
     def test_every_kind_has_a_handler(self):
         root = build_parser()
@@ -1013,7 +1045,7 @@ class TestInputErrors:
              "argument --workers: must be >= 1, got -5"),
             (
                 ["check", "gauss", "--f", "cosh50", "--coeffs", "1,1", "--d", "3"],
-                "integrand is non-finite",
+                "E cosh50(a ||Z_d||) overflows double precision",
             ),
             (
                 ["check", "bc", "--f", "power2", "--a-sq", "0.5,0.5", "--b-sq", "0.5,0.5",
@@ -1064,18 +1096,18 @@ class TestInputErrors:
             (["bound", "--d", "2", "--coeffs", "1,1", "--u-linear", "0:3:1"],
              "COUNT must be >= 2, got 1"),
             (["verify", "--d", "1", "--u-linear", "0:3:1"], "COUNT must be >= 2, got 1"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "0:3:0"],
+            (["bound", "--d", "2", "--coeffs", "1,1", "--u-linear", "0:3:0"],
              "COUNT must be >= 2, got 0"),
             (["verify", "--d", "1", "--u-linear", "0:inf:3"],
              "LO and HI must be finite, got '0:inf:3'"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "nan:2:4"],
+            (["verify", "--d", "1", "--u-linear", "nan:2:4"],
              "LO and HI must be finite, got 'nan:2:4'"),
             (["verify", "--d", "1", "--patterns", "geometric:1e200", "--n", "3"],
              "coefficients must all be finite"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "nan"],
-             "centre norms must be finite, got [nan]"),
+            # check bisub takes a dimension and no centres
+            (["check", "bisub", "--f", "power4", "--d", "0"], "dimension must be >= 1, got 0"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf"],
-             "centre norms must be finite, got [inf]"),
+             "unrecognized arguments: --y-norms inf"),
             # a bad number is named, with the flag it was given to
             (["bound", "--d", "2", "--coeffs", "1,x", "--u", "1"],
              "argument --coeffs: invalid float value: 'x'"),
@@ -1094,20 +1126,20 @@ class TestInputErrors:
             (["check", "bc", "--f", "power4", "--a-sq", "1e200,0", "--b-sq", "5e199,5e199",
               "--d", "3"],
              "E power4(||sum a_i U_i||) overflows double precision"),
-            (["check", "bisub", "--f", "cosh", "--d", "3", "--t-grid", "1:1e6:3"],
-             "E cosh1(||y + U sqrt t||) on the t grid overflows double precision"),
+            (["check", "lemma2", "--xi-coeffs", "1,1", "--d", "3", "--h", "cosh50"],
+             "E cosh50(a ||Z_d||) overflows double precision"),
             (["check", "bc", "--f", "cosh", "--a-sq", "6e5,4e5", "--b-sq", "5e5,5e5", "--d", "3"],
              "a Monte Carlo mean or its error overflows double precision"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid", "1e-300:1e300:3"],
-             "E power4(||y + U sqrt t||) on the t grid overflows double precision"),
+             "unrecognized arguments: --t-grid 1e-300:1e300:3"),
             # sweep settings with no dimension or no n
             (["verify", "--d", ""], "sweep needs at least one dimension and one pattern"),
             (["verify", "--d", "2", "--n", ""], "sweep needs n values for non-explicit patterns"),
             # a grid whose span HI - LO overflows
             (["bound", "--d", "2", "--coeffs", "1", "--u-linear=-1e308:1e308:3"],
              "argument --u-linear: the span HI - LO overflows, got '-1e308:1e308:3'"),
-            (["check", "bisub", "--f", "power4", "--d", "3", "--t-grid=-1e308:1e308:5"],
-             "argument --t-grid: the span HI - LO overflows, got '-1e308:1e308:5'"),
+            (["verify", "--d", "1", "--u-linear=-1e308:1e308:5"],
+             "argument --u-linear: the span HI - LO overflows, got '-1e308:1e308:5'"),
             # squared coefficients whose sum overflows
             (["check", "schur", "--a-sq", "1e308,1e308", "--b-sq", "1e308,1e307"],
              "the sum of a_sq overflows double precision"),
@@ -1136,9 +1168,9 @@ class TestInputErrors:
             (["verify", "--d", "2", "--quantiles", ""], "sweep needs at least one quantile"),
             (["bound", "--d", "2", "--coeffs", "1", "--u-linear", "1:1:3"],
              "threshold value 1.0 is repeated; list each value once"),
-            # a finite centre whose square overflows is not called non-finite
-            (["check", "bisub", "--f", "power1", "--d", "3", "--y-norms", "1,1e200"],
-             "the squared norm of a centre overflows double precision"),
+            # a cosh Gaussian side past double precision is named, not integrated
+            (["check", "gauss", "--f", "cosh", "--coeffs", "1e3", "--d", "3"],
+             "E cosh1(a ||Z_d||) overflows double precision"),
         ],
     )
     def test_rejected_without_warning(self, capsys, argv, message):

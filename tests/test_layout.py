@@ -13,10 +13,11 @@ calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
 u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
 takes that tail, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
-``sampling.cos_rule`` integrates against the law of C, only ``cli._bisub``
-runs ``is_bisubharmonic_numeric``, ``cos_marginal``
-and the draws ``_cos_draw`` and ``_cos_column`` behind it evaluate no
-cosine or sine, only ``report.csv_text`` and ``report.json_text`` write CSV
+``sampling.cos_rule`` integrates against the law of C, no module calls the
+numerical references ``is_bisubharmonic_numeric`` and ``chi_expectation``
+(``check bisub``, ``gauss`` and ``bc`` decide bisubharmonicity by
+``moment_compare.bisub_rule`` alone), ``cos_marginal`` and the draws
+``_cos_draw`` and ``_cos_column`` behind it evaluate no cosine or sine, only ``report.csv_text`` and ``report.json_text`` write CSV
 and JSON (``cli`` imports neither ``csv``, ``io`` nor ``json``), only
 ``bounds.pow2_above`` picks a power-of-two scaling, every comparator scale
 goes through ``bounds.scale``, and the messages of the alpha, threshold and
@@ -289,10 +290,15 @@ def test_only_the_sampler_of_c_builds_its_quadrature():
     assert _callers_of("leggauss") == [("sampling.py", "_angle_rule")]
 
 
-def test_only_check_bisub_runs_the_numerical_bisub_test():
-    # gauss and bc certify a profile by a closed-form rule; the quadrature at
-    # a few centres decides only `check bisub`, which names its centres
-    assert _callers_of("is_bisubharmonic_numeric") == [("cli.py", "_bisub")]
+def test_no_verdict_rests_on_a_numerical_reference():
+    # every verdict is closed form or Monte Carlo: the quadrature of
+    # bisubharmonicity at a few centres and the chi-density quadrature are
+    # references the tests check the closed forms against
+    assert _callers_of("is_bisubharmonic_numeric") == []
+    assert _callers_of("chi_expectation") == []
+    assert _callers_of("bisub_rule") == [
+        ("cli.py", "_bisub"), ("moment_compare.py", "_certify_comparison_function")
+    ]
 
 
 def test_the_sampler_of_c_evaluates_no_cosine_or_sine():

@@ -19,6 +19,8 @@ from spheretail import (
     MajorizationPair,
     RngStream,
     bc_comparison_check,
+    bisub_rule,
+    chi_expectation,
     chi_moment,
     cosh_profile,
     fourth_moment_exact,
@@ -296,8 +298,8 @@ class TestIsBisubharmonic:
          "power6", "cosh", "cosh2", "softplus_squared", "-power4", "-cosh", "-power2"],
     )
     def test_quadrature_status_matches_mc(self, token, d):
-        # the Monte Carlo estimate is the cross-check of the quadrature that
-        # decides `check bisub`
+        # the Monte Carlo estimate is the cross-check of the quadrature, the
+        # numerical reference of `bisub_rule`
         fn = parse_test_function(token)
         mc = is_bisubharmonic_numeric(fn, d, seed=0)
         assert is_bisubharmonic_numeric(fn, d, method="quadrature").status == mc.status
@@ -398,13 +400,96 @@ class TestCertificate:
             (cosh_profile(2.0).negate(),
              "-cosh2 is not certified bisubharmonic for d=1 (a cosh profile needs sign > 0)"),
             (softplus_squared(), "softplus_squared is not certified bisubharmonic for d=1 "
-             "(softplus_squared has no certificate)"),
+             "(Delta^2 f < 0 at |x| = 2)"),
         ],
     )
     def test_refusal_names_the_failed_condition(self, fn, message):
         with pytest.raises(ValueError) as info:
             _certify_comparison_function(fn, 1)
         assert str(info.value) == message
+
+
+#: the rule's status at d = 1, 2, 3, 4, 5, 10, 30 (p: pass, f: fail)
+BISUB_TABLE = {
+    "power0": "ppppppp", "power0.5": "fffffff", "power1": "fffffff", "power1.5": "fffffff",
+    "power2": "ppppppp", "power2.5": "fpppppp", "power3": "ppppppp", "power4": "ppppppp",
+    "power6": "ppppppp", "-power0": "ppppppp", "-power0.5": "fffpppp", "-power1": "ffppppp",
+    "-power1.5": "ffppppp", "-power2": "ppppppp", "-power2.5": "fffffff", "-power3": "fffffff",
+    "-power4": "fffffff", "-power6": "fffffff",
+    **{f"cosh{c}": "ppppppp" for c in ("0.01", "0.1", "1", "2")},
+    **{f"-cosh{c}": "fffffff" for c in ("0.01", "0.1", "1", "2")},
+    "softplus_squared": "fffffff", "-softplus_squared": "fffffff",
+}
+
+
+def softplus_squared_bilaplacian(d: int, r):
+    """Delta^2 of softplus^2(||x||) in R^d at radius r, in mpmath: with
+    L = d^2/dr^2 + (d-1)/r d/dr and hk the k-th derivative of h,
+    L^2 h = h4 + 2 (d-1)/r h3 + (d-1)(d-3)/r^2 h2 - (d-1)(d-3)/r^3 h1."""
+    def h(x):
+        return mpmath.log1p(mpmath.exp(x)) ** 2 + mpmath.log1p(mpmath.exp(-x)) ** 2
+
+    _, h1, h2, h3, h4 = mpmath.diffs(h, r, 4)
+    k = (d - 1) * (d - 3)
+    return h4 + 2 * (d - 1) / r * h3 + k / r**2 * h2 - k / r**3 * h1
+
+
+class TestBisubRule:
+    def test_table_on_196_cells(self):
+        table = {
+            token: "".join(bisub_rule(parse_test_function(token), d)[0][0]
+                           for d in (1, 2, 3, 4, 5, 10, 30))
+            for token in BISUB_TABLE
+        }
+        assert len(table) * 7 == 196 and table == BISUB_TABLE
+
+    @pytest.mark.parametrize(
+        "fn, d, expected",
+        [
+            (power(2.5), 1, ("fail", "p + d = 3.5 < 4")),
+            (power(1), 3, ("fail", "sign (p - 2) = -1 <= 0")),
+            (power(1).negate(), 3, ("pass", "")),  # Delta^2 (-|x|) = 8 pi delta in R^3
+            (cosh_profile(0.001).negate(), 3, ("fail", "a cosh profile needs sign > 0")),
+            (softplus_squared().negate(), 100, ("fail", "Delta^2 f < 0 at |x| = 0")),
+            (softplus_squared(), 1, ("fail", "Delta^2 f < 0 at |x| = 2")),
+            (softplus_squared(), 50, ("fail", "Delta^2 f < 0 at |x| = 51")),
+            (softplus_squared(), 51, ("inconclusive", "no witness beyond d = 50")),
+            (spheretail.TestFunction("bump"), 3, ("inconclusive", "bump has no rule")),
+        ],
+        ids=lambda v: v.label if isinstance(v, spheretail.TestFunction) else None,
+    )
+    def test_conditions_and_witnesses(self, fn, d, expected):
+        assert bisub_rule(fn, d) == expected
+
+    def test_softplus_squared_witness_holds_in_mpmath(self):
+        # the witness |x| = d + 1 that the rule cites, at every d it cites it
+        with mpmath.workdps(60):
+            values = [softplus_squared_bilaplacian(d, mpmath.mpf(d + 1)) for d in range(1, 51)]
+        assert all(v < 0 for v in values)
+        assert [mpmath.nstr(values[d - 1], 2) for d in (1, 15, 50)] == [
+            "-0.18", "-2.1e-7", "-1.4e-22"
+        ]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_quadrature_fails_softplus_squared_at_the_witness(self, d):
+        report = is_bisubharmonic_numeric(softplus_squared(), d, y_set=[d + 1.0],
+                                          method="quadrature")
+        assert report.status == "fail"
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "fn", [softplus_squared().negate(), *(cosh_profile(c).negate() for c in (0.1, 1, 2))],
+        ids=lambda fn: fn.label,
+    )
+    def test_quadrature_fails_negated_profiles_at_the_origin(self, fn, d):
+        # Delta^2 f(0) = d (d+2) h4(0) / 3 < 0, h4 the fourth derivative
+        assert bisub_rule(fn, d)[0] == "fail"
+        assert is_bisubharmonic_numeric(fn, d, y_set=[0.0], method="quadrature").status == "fail"
+
+    @pytest.mark.parametrize("d", [0, 2.0, True])
+    def test_dimension_is_checked(self, d):
+        with pytest.raises(ValueError, match="dimension"):
+            bisub_rule(power(4), d)
 
 
 class TestSchurMajorization:
@@ -502,6 +587,31 @@ class TestBcComparison:
         assert verdict.method == "mc-crn"
         assert verdict.margin_se < math.hypot(verdict.lhs_se, verdict.rhs_se)
 
+    def test_unequal_totals_never_read_violated(self):
+        # 0.1 + 0.2 and 0.15 + 0.15 differ by 1 ulp, within the majorization
+        # tolerance, so the exact margin -5.55e-17 is no counterexample
+        pair = MajorizationPair((0.1, 0.2), (0.15, 0.15))
+        verdict = bc_comparison_check(power(2), pair, 3)
+        assert (verdict.margin, verdict.verdict, verdict.conclusive) == (
+            -5.551115123125783e-17, "INCONCLUSIVE", False
+        )
+        assert verdict.note == "sum b_sq - sum a_sq = -5.55e-17, majorized only within tolerance"
+        # pairs drawn as the benchmark draws them: none reads VIOLATED, and a
+        # pair reads INCONCLUSIVE only when its totals differ
+        rng = np.random.default_rng(5)
+        inconclusive = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 5))
+            w = rng.uniform(0.0, 1.0, n)
+            w[0] += n
+            pair = MajorizationPair(tuple(w / w.sum()), (1.0 / n,) * n)
+            equal = math.fsum(pair.a_sq) == math.fsum(pair.b_sq)
+            two, four = (bc_comparison_check(power(p), pair, 3) for p in (2, 4))
+            assert four.verdict == "HOLDS" and two.verdict != "VIOLATED"
+            assert two.verdict == "HOLDS" or not equal
+            inconclusive += two.verdict == "INCONCLUSIVE"
+        assert inconclusive > 0
+
     def test_seed_stability_within_pooled_se(self):
         pair = MajorizationPair((0.8, 0.2), (0.5, 0.5))
         v1 = bc_comparison_check(cosh_profile(1.0), pair, 3, samples=60_000, seed=5)
@@ -566,7 +676,23 @@ class TestGaussianComparison:
             cosh_profile(1.0), [1.0, 1.0], 3, samples=100_000, seed=6
         )
         assert verdict.holds and verdict.conclusive
-        assert verdict.rhs_se == 0.0  # Gaussian side is exact quadrature
+        assert verdict.rhs_se == 0.0  # Gaussian side is the exact 1F1
+
+    @pytest.mark.parametrize("d, c", [(1, 0.5), (2, 1.0), (3, 2.0), (5, 0.1), (10, 1.5)])
+    def test_cosh_gaussian_side_agrees_with_the_chi_quadrature(self, d, c):
+        coeffs = [0.6, 0.8, 1.1]
+        a = math.sqrt(second_moment_exact(coeffs) / d)
+        quad = chi_expectation(d, lambda r: np.cosh(c * a * r))
+        rhs = gaussian_comparison_check(cosh_profile(c), coeffs, d, samples=2000).rhs
+        assert rhs == pytest.approx(quad, rel=1e-10)
+
+    def test_cosh_gaussian_side_past_the_quadrature(self):
+        # E cosh(20 ||Z_2||) = 1F1(1; 1/2; 200) = 1.8113e88, where the chi
+        # quadrature's integrand overflows before the density decays
+        with mpmath.workdps(30):
+            exact = float(mpmath.hyp1f1(1, 0.5, 200))
+        verdict = gaussian_comparison_check(cosh_profile(20.0), [1.0, 1.0], 2, samples=2000)
+        assert verdict.rhs == pytest.approx(exact, rel=1e-14) and verdict.holds
 
 
 class TestLemma2Hypothesis:
