@@ -267,12 +267,13 @@ def run_sweep(
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)
     queries = []
+    chi_quantile = functools.cache(chi_tail_inverse)  # once per (d, quantile)
     for d, n, pat in instances:
         coeffs = pat.materialize(n, normalize)
         us = thresholds
         if us is None:
             a_cmp = scale(coeffs, d)
-            us = [a_cmp * chi_tail_inverse(d, q) for q in quantiles]
+            us = [a_cmp * chi_quantile(d, q) for q in quantiles]
         queries.append((d, coeffs, us))
     batch = mc_tail_batch(queries, samples, seed, alpha, workers)
     records: list[VerificationRecord] = []

@@ -16,8 +16,9 @@ sample costs O(n) time in any dimension.  This form of the update gives
 ``_radial_chain`` runs each row on its coefficients over the power of two
 that brings its largest below 1 (``bounds.pow2_above``, the rule that
 ``bounds.scale`` also uses) and scales its norms back, so no squared partial
-norm overflows; a zero coefficient is no step at all, so it leaves R exact.
-Each row's norms are therefore bit for bit its one-row call's.
+norm overflows; a zero coefficient is no step at all (it would only round a
+tiny R^2 into the subnormals), so it leaves R exact.  Each row's norms are
+therefore bit for bit its one-row call's.
 
 Determinism contract
 --------------------
@@ -31,6 +32,10 @@ each column's uniforms once per chunk and each task runs its own chain on
 them; every norm equals the one-task call's.  Workers only map jobs to
 threads, so the sample stream, the hit count, and hence the reported estimate
 are identical for any degree of parallelism (see ``RngStream`` for platforms).
+
+Memory: a job draws and runs its chains in ``CHUNK_SIZE`` float64 buffers
+(256 KiB each) from one free list and returns them as it ends, so a repeated
+call faults in no fresh pages; the engine keeps the most its calls held at once.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
 verdicts built on them stay conservative even at very small tail
@@ -57,6 +62,10 @@ CHUNK_SIZE = 1 << 15
 
 #: hard cap for exhaustive sign-pattern enumeration (2^n patterns)
 ENUMERATION_MAX = 26
+
+#: CHUNK_SIZE float64 buffers that no job holds (see "Memory" above), a
+#: stack so that a job takes the ones put back last, which are still in cache
+_FREE_BUFFERS: list[np.ndarray] = []
 
 
 class CapacityError(Exception):
@@ -147,25 +156,31 @@ def cos_marginal(rng: np.random.Generator, d, size: int) -> np.ndarray:
     [-1, 1], the range where numpy's vectorised tangent needs no reduction.
     """
     d = check_dimension(d)
-    return _cos_column(d, _cos_draw(rng, d, size))
+    take = functools.partial(np.empty, size)
+    return _cos_column(d, _cos_draw(rng, d, take, take()), take)
 
 
-def _cos_draw(rng: np.random.Generator, d: int, size: int):
-    """The next column's draw of ``size`` C values at d: the column itself at
-    d in {1, 2, 3, 5}, else (sin(theta), log1p(-V)), which every d outside
-    {1, 2, 3, 5} shares and ``_cos_column`` finishes for one d."""
-    if d == 1:
+def _cos_draw(rng: np.random.Generator, d: int, take: Callable, tmp: np.ndarray):
+    """The next column's draw of len(tmp) C at d, in arrays from ``take()``
+    (``tmp`` is scratch): the column itself at d in {1, 2, 3, 5}, else
+    (sin(theta), log1p(-V)), which ``_cos_column`` finishes for one d."""
+    size = len(tmp)
+    if d == 1:  # 2 bit - 1
         bits = np.unpackbits(rng.integers(0, 256, -(-size // 8), dtype=np.uint8))
-        return np.array([-1.0, 1.0])[bits[:size]]
-    if d == 3:
-        return rng.uniform(-1.0, 1.0, size)
+        c = np.multiply(bits[:size], 2.0, out=take())
+        return np.subtract(c, 1.0, out=c)
+    if d == 3:  # uniform(-1, 1), which has no out, is -1 + 2 U bit for bit
+        c = rng.random(size, out=take())
+        return np.subtract(np.multiply(c, 2.0, out=c), 1.0, out=c)
     if d == 5:
-        return np.cbrt(rng.random(size)) * rng.uniform(-1.0, 1.0, size)
-    t = rng.random(size)
+        c = np.cbrt(rng.random(size, out=tmp), out=take())
+        w = np.multiply(rng.random(size, out=tmp), 2.0, out=tmp)
+        return np.multiply(c, np.subtract(w, 1.0, out=w), out=c)
+    t = rng.random(size, out=take() if d > 2 else tmp)
     t *= 0.5 * math.pi
     t -= 0.25 * math.pi
     np.tan(t, out=t)  # t = tan(theta / 2) in [-1, 1]
-    s = np.multiply(t, t)
+    s = np.multiply(t, t, out=take())
     s += 1.0
     t += t
     np.divide(t, s, out=s)  # sin(theta) = 2t / (1 + t^2), never above 1
@@ -175,13 +190,13 @@ def _cos_draw(rng: np.random.Generator, d: int, size: int):
     return s, np.log1p(v, out=v)  # finite at V = 0, where log(V) is not
 
 
-def _cos_column(d: int, draw) -> np.ndarray:
+def _cos_column(d: int, draw, take: Callable) -> np.ndarray:
     """The column of C at d from its ``_cos_draw``: a finished column as it
-    is, else sin(theta) times sqrt(1 - (1-V)^(2/(d-2)))."""
+    is, else sin(theta) times sqrt(1 - (1-V)^(2/(d-2))) in ``take()``."""
     if not isinstance(draw, tuple):
         return draw
     s, v = draw
-    c = np.multiply(v, 2.0 / (d - 2))
+    c = np.multiply(v, 2.0 / (d - 2), out=take())
     np.sqrt(np.negative(np.expm1(c, out=c), out=c), out=c)
     return np.multiply(c, s, out=c)
 
@@ -211,25 +226,39 @@ def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
     return cosv, w / w.sum()
 
 
-def _radial_chain(rows: np.ndarray, cols: list[np.ndarray], size: int) -> np.ndarray:
-    """(len(rows), size) samples of ||sum_j rows[i, j] U_j||, where column
-    j >= 1 of every row uses the C draws cols[j - 1].  Each row runs on its
-    own row / s, s = pow2_above(max |row|), skipping its zero steps (which
-    would only round a tiny R^2 into the subnormals), and scales its norms
-    by s, so no row's norms depend on the rows stacked with it."""
-    out = np.empty((len(rows), size))
-    for row, r in zip(rows, out):
+def _radial_chain(tasks: list, cols: list, take: Callable, tmp: np.ndarray) -> list:
+    """[(i, fn(norms)) for each task (i, fn, rows)]: row m of norms holds
+    len(tmp) samples of ||sum_j rows[m, j] U_j||, column j >= 1 of every row
+    using the C draws cols[j - 1].  The chains advance a column at a time in
+    buffers from ``take()``; once every row has added its a C, the column
+    becomes 1 - C^2 for every row to read, and ``tmp`` holds each product.
+    A task's norms are a fresh array, made just before its fn runs."""
+    chains, steps = [], [[] for _ in cols]  # per column, (R, a) of each nonzero step
+    for row in itertools.chain.from_iterable(rows for _, _, rows in tasks):
         s = pow2_above(np.abs(row).max())
-        row = row / s
+        row, r = row / s, take()
         r[:] = abs(row[0])
-        for a, c in zip(row[1:], cols):
+        chains.append((r, s))
+        for column, a in zip(steps, row[1:]):
             if a:
-                r += a * c
-                r *= r
-                r += (a * a) * (1.0 - c * c)
-                np.sqrt(r, out=r)
-        r *= s
-    return out
+                column.append((r, a))
+    for c, column in zip(cols, steps):
+        for r, a in column:
+            r += np.multiply(c, a, out=tmp)
+            r *= r
+        np.subtract(1.0, np.multiply(c, c, out=c), out=c)
+        for r, a in column:
+            r += np.multiply(c, a * a, out=tmp)
+            np.sqrt(r, out=r)
+    scaled = iter(chains)
+
+    def norms(count: int) -> np.ndarray:
+        out = np.empty((count, len(tmp)))
+        for row, (r, s) in zip(out, scaled):
+            np.multiply(r, s, out=row)
+        return out
+
+    return [(i, fn(norms(len(rows)))) for i, fn, rows in tasks]
 
 
 def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[list]:
@@ -261,12 +290,28 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
         family, k = job
         n = {d: max(a.shape[1] for _, _, a in groups[d]) - 1 for d in family}
         rng = RngStream(seed, k).generator()
-        draws = [_cos_draw(rng, family[0], sizes[k]) for _ in range(max(n.values()))]
+        held: list[np.ndarray] = []  # the buffers this job took from _FREE_BUFFERS
+
+        def take() -> np.ndarray:
+            try:
+                held.append(_FREE_BUFFERS.pop())  # atomic, as append is
+            except IndexError:
+                held.append(np.empty(CHUNK_SIZE))
+            return held[-1][: sizes[k]]
+
+        def give_back(start: int) -> None:
+            while len(held) > start:
+                _FREE_BUFFERS.append(held.pop())
+
+        tmp = take()
+        draws = [_cos_draw(rng, family[0], take, tmp) for _ in range(max(n.values()))]
         out = []
         for d in family:
-            cols = [_cos_column(d, x) for x in draws[: n[d]]]
-            out += [(i, k, fn(_radial_chain(a, cols, sizes[k]))) for i, fn, a in groups[d]]
-            del cols  # a job holds its shared draws and one d's columns
+            start = len(held)
+            cols = [_cos_column(d, x, take) for x in draws[: n[d]]]  # the chain overwrites them
+            out += [(i, k, v) for i, v in _radial_chain(groups[d], cols, take, tmp)]
+            give_back(start)  # a job holds its shared draws and one d's columns
+        give_back(0)
         return out
 
     if workers == 1:
@@ -311,15 +356,13 @@ def mc_tail_batch(
             raise ValueError("u_values must be a nonempty sequence of reals")
         tasks.append((_hit_counter([check_threshold(u) for u in us]), a, d))
     check_alpha(alpha)
-    out = []
-    for chunk_hits in map_sum_norms(tasks, n_samples, seed, workers):
-        hits = np.sum(chunk_hits, axis=0)
-        lows, highs = clopper_pearson(hits, n_samples, alpha)
-        out.append([
-            McEstimate(int(h) / n_samples, float(lo), float(hi), n_samples, int(h), seed, alpha)
-            for h, lo, hi in zip(hits, lows, highs)
-        ])
-    return out
+    hits = [np.sum(chunks, axis=0) for chunks in map_sum_norms(tasks, n_samples, seed, workers)]
+    every = np.fromiter(itertools.chain(*hits), np.int64)  # one elementwise interval call
+    intervals = zip(*(x.tolist() for x in clopper_pearson(every, n_samples, alpha)))
+    return [
+        [McEstimate(h / n_samples, *next(intervals), n_samples, h, seed, alpha) for h in hs]
+        for hs in map(np.ndarray.tolist, hits)
+    ]
 
 
 def mc_tail_multi(

@@ -6,8 +6,11 @@ itertools-based brute force; the Monte Carlo machinery is checked against
 the exact oracles and for worker-count independence.
 """
 
+import functools
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -95,6 +98,15 @@ def reference_chain(rows, cols, size):
     return np.array(out)
 
 
+def engine_chain(rows, cols, size):
+    """``sampling._radial_chain`` of one stack, in fresh buffers and on
+    copies of its columns, which the chain overwrites by 1 - C^2."""
+    take = functools.partial(np.empty, size)
+    copies = [c.copy() for c in cols]
+    [(_, norms)] = sampling._radial_chain([(0, np.copy, rows)], copies, take, take())
+    return norms
+
+
 class TestSphereSampling:
     """The law of C, one coordinate of a uniform unit vector in R^d."""
 
@@ -178,6 +190,20 @@ class TestSphereSampling:
             c = cos_marginal(EndUniforms(), d, ends.size)
         assert np.all(np.isfinite(c)) and np.all(np.abs(c) <= 1.0)
 
+    @pytest.mark.parametrize("size", [1, 9, 4097])
+    def test_draws_into_buffers_keep_numpys_columns(self, size):
+        # d = 1, 3 and 5 write 2 x - 1 into a buffer; they must give the
+        # columns that indexing [-1, 1] by the bits and Generator.uniform give
+        def rng():
+            return RngStream(9, size).generator()
+
+        bits = np.unpackbits(rng().integers(0, 256, -(-size // 8), dtype=np.uint8))[:size]
+        assert np.array_equal(cos_marginal(rng(), 1, size), np.array([-1.0, 1.0])[bits])
+        assert np.array_equal(cos_marginal(rng(), 3, size), rng().uniform(-1.0, 1.0, size))
+        g = rng()
+        expected = np.cbrt(g.random(size)) * g.uniform(-1.0, 1.0, size)
+        assert np.array_equal(cos_marginal(rng(), 5, size), expected)
+
     def test_d3_first_coordinate_uniform(self):
         # Archimedes: the first coordinate of a uniform point on S^2 is
         # uniform on [-1, 1]
@@ -238,7 +264,7 @@ class TestRadialChain:
         rng = RngStream(31, d).generator()
         cols = [cos_marginal(rng, d, size) for _ in range(9)]
         for a in map(np.array, rows):
-            assert np.array_equal(sampling._radial_chain(a, cols, size), reference_chain(a, cols, size))
+            assert np.array_equal(engine_chain(a, cols, size), reference_chain(a, cols, size))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10])
     @pytest.mark.parametrize(
@@ -385,15 +411,18 @@ class TestMcTail:
         map_sum_norms(tasks, n, seed=8, workers=2)
         assert sorted(map(len, uniform_blocks)) == [14] * 3 + [18] * 3
 
-    def test_a_job_holds_its_shared_draws_and_one_dimensions_columns(self):
+    def test_a_job_holds_its_shared_draws_and_one_dimensions_columns(self, monkeypatch):
         # the dimensions outside {1, 2, 3, 5} share two arrays per column,
         # sin(theta) and log1p(-V), and each d finishes its columns just
         # before its chains run, so a job's memory does not grow with the
-        # number of d it serves: 3 arrays per column, plus the chain's own
+        # number of d it serves: 3 arrays per column, plus the chain's own.
+        # Each call starts from an empty free list, so every buffer the job
+        # holds is allocated under the trace.
         n, column = 9, 8 * CHUNK_SIZE
 
         def peak(dims):
             tasks = [(np.sum, np.ones(n), d) for d in dims]
+            monkeypatch.setattr(sampling, "_FREE_BUFFERS", [])
             tracemalloc.start()
             try:
                 map_sum_norms(tasks, CHUNK_SIZE, seed=2)
@@ -404,6 +433,68 @@ class TestMcTail:
         few, many = peak((4, 6)), peak([d for d in range(4, 40) if d != 5])
         assert few < (3 * (n - 1) + 4) * column
         assert many < few + column
+
+    def test_a_repeated_call_allocates_only_the_norms_it_hands_out(self):
+        # every draw, column and chain buffer of a job comes back to the free
+        # list, so a second identical call reuses them: its only CHUNK_SIZE
+        # allocation is each task's norms array, made just before its fn runs
+        tasks = [(np.sum, np.linspace(1.0, 0.1, 2 + d % 5), d) for d in (1, 2, 3, 4, 5, 7, 30)]
+        tasks.append((np.sum, [[1.0, 0.0, 2.0], [3.0, 1.0, 0.0]], 7))
+        n, column = 2 * CHUNK_SIZE, 8 * CHUNK_SIZE
+        first = map_sum_norms(tasks, n, seed=6)
+        tracemalloc.start()
+        try:
+            again = map_sum_norms(tasks, n, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 2 * column + column // 2  # the two-row norms, and no buffer
+
+    def test_no_buffer_of_the_free_list_reaches_a_task(self, monkeypatch):
+        # a task may keep its norms (sample_sum_norms keeps views of them),
+        # so they are never one of the recycled buffers
+        free = []
+        monkeypatch.setattr(sampling, "_FREE_BUFFERS", free)
+        seen = []
+        tasks = [(seen.append, np.linspace(1.0, 0.5, 4), d) for d in (1, 2, 3, 5, 4, 10)]
+        for seed in (1, 2):
+            map_sum_norms(tasks, 2 * CHUNK_SIZE + 5, seed=seed, workers=2)
+        assert free and len(seen) == 2 * len(tasks) * 3
+        assert not any(np.shares_memory(norms, buf) for norms in seen for buf in free)
+        kept = sample_sum_norms([1.0, 0.5, 0.25], 4, CHUNK_SIZE + 9, seed=3)
+        copy = kept.copy()
+        sample_sum_norms([1.0, 0.5, 0.25], 4, CHUNK_SIZE + 9, seed=4)
+        assert np.array_equal(kept, copy)
+
+    def test_concurrent_calls_share_the_free_list(self):
+        # two threads, each mapping its jobs onto two more, take and return
+        # buffers of one free list at once; each call still gets its serial
+        # norms, so no buffer is held by two jobs
+        tasks = [(np.copy, np.linspace(1.0, 0.2, 5), d) for d in (1, 3, 4, 5, 7)]
+        n = 3 * CHUNK_SIZE + 11
+        serial = {seed: map_sum_norms(tasks, n, seed) for seed in (1, 2)}
+        results = {}
+
+        def call(seed):
+            for rep in range(3):
+                results[seed, rep] = map_sum_norms(tasks, n, seed, workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(seed,)) for seed in (1, 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6
+        for (seed, _), got in results.items():
+            for chunks, expected in zip(got, serial[seed], strict=True):
+                assert all(np.array_equal(c, e) for c, e in zip(chunks, expected, strict=True))
 
     def test_each_dimension_draws_its_cosines_once(self, uniform_blocks):
         # instances of one d draw the same C columns, and the dimensions
@@ -431,9 +522,11 @@ class TestMcTail:
         seen = {}
         chain = sampling._radial_chain
 
-        def recording(rows, cols, size):
-            seen[int(rows[0, 0]), size] = cols
-            return chain(rows, cols, size)
+        def recording(tasks, cols, take, tmp):
+            # copies: the chain overwrites its columns, and their buffers are reused
+            [(_, _, rows)] = tasks
+            seen[int(rows[0, 0]), len(tmp)] = [c.copy() for c in cols]
+            return chain(tasks, cols, take, tmp)
 
         monkeypatch.setattr(sampling, "_radial_chain", recording)
         sizes = (CHUNK_SIZE, 1000)
