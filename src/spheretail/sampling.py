@@ -35,7 +35,7 @@ are identical for any degree of parallelism (see ``RngStream`` for platforms).
 
 Memory: a job draws and runs its chains in ``CHUNK_SIZE`` float64 buffers
 (256 KiB each) from one free list and returns them as it ends, so a repeated
-call faults in no fresh pages; the engine keeps the most its calls held at once.
+call faults in no fresh pages; the list keeps at most ``FREE_BUFFERS_MAX``.
 
 Confidence intervals are exact binomial (Clopper-Pearson), so statistical
 verdicts built on them stay conservative even at very small tail
@@ -63,9 +63,10 @@ CHUNK_SIZE = 1 << 15
 #: hard cap for exhaustive sign-pattern enumeration (2^n patterns)
 ENUMERATION_MAX = 26
 
-#: CHUNK_SIZE float64 buffers that no job holds (see "Memory" above), a
-#: stack so that a job takes the ones put back last, which are still in cache
+#: CHUNK_SIZE float64 buffers that no job holds (see "Memory" above), at most
+#: FREE_BUFFERS_MAX (32 MiB); a stack, so a job takes the last put back, still in cache
 _FREE_BUFFERS: list[np.ndarray] = []
+FREE_BUFFERS_MAX = 128
 
 
 class CapacityError(Exception):
@@ -302,6 +303,7 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
         def give_back(start: int) -> None:
             while len(held) > start:
                 _FREE_BUFFERS.append(held.pop())
+            del _FREE_BUFFERS[FREE_BUFFERS_MAX:]  # one tall task pins no memory for good
 
         tmp = take()
         draws = [_cos_draw(rng, family[0], take, tmp) for _ in range(max(n.values()))]

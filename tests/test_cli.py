@@ -286,6 +286,20 @@ class TestCheckCommand:
         doc = json.loads(out[out.index("{") :])  # JSON follows the human line
         assert doc["lhs"] == 1.0 and doc["rhs"] == 1.5
 
+    def test_bc_unequal_totals_positive_margin_is_inconclusive(self, capsys):
+        # the totals 0.3 and 0.30000000000000004 differ by 1 ulp, and the exact
+        # second-moment margin is that gap: not evidence that the comparison holds
+        code, out, _ = run_cli(
+            capsys, "check", "bc", "--f", "power2", "--a-sq", "0.3,0", "--b-sq", "0.1,0.2",
+            "--d", "3",
+        )
+        assert code == 0
+        assert out == (
+            "lhs=0.3 rhs=0.3 margin=5.55111512313e-17 margin_se=0 verdict=INCONCLUSIVE "
+            "conclusive=False method=exact-m2 note=sum b_sq - sum a_sq = 5.55e-17, "
+            "majorized only within tolerance\n"
+        )
+
     def test_bisub_fail_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "check", "bisub", "--f", "neg_power4", "--d", "3")
         assert code == 1 and "fail" in out
@@ -1104,6 +1118,11 @@ class TestInputErrors:
              "LO and HI must be finite, got 'nan:2:4'"),
             (["verify", "--d", "1", "--patterns", "geometric:1e200", "--n", "3"],
              "coefficients must all be finite"),
+            # a profile is checked where it is built
+            (["check", "classc", "--f", "power-1"],
+             "error: power exponent must be finite and >= 0, got -1.0"),
+            (["check", "gauss", "--f", "cosh0", "--coeffs", "1", "--d", "3"],
+             "error: cosh rate must be finite and > 0, got 0.0"),
             # check bisub takes a dimension and no centres
             (["check", "bisub", "--f", "power4", "--d", "0"], "dimension must be >= 1, got 0"),
             (["check", "bisub", "--f", "power4", "--d", "3", "--y-norms", "inf"],

@@ -4,6 +4,7 @@ moment-comparison checks."""
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,24 @@ class TestTestFunctions:
         x = np.linspace(-3, 3, 31)
         assert np.allclose(fn.h(x), fn.h(-x), atol=1e-12)
         assert fn.h([0.0])[0] == 0.0
+
+    # a profile is checked where it is built, so no rule meets an invalid one
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("bump",), "unknown test-function kind 'bump'"),
+            *((("power", p), f"power exponent must be finite and >= 0, got {p!r}")
+              for p in (math.nan, math.inf, -1.0)),
+            *((("cosh", r), f"cosh rate must be finite and > 0, got {r!r}")
+              for r in (0.0, math.nan)),
+            *((("power", 4.0, s), f"test-function sign must be finite and nonzero, got {s!r}")
+              for s in (0.0, math.nan, math.inf)),
+        ],
+        ids=repr,
+    )
+    def test_invalid_profile_is_not_built(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spheretail.TestFunction(*args)
 
 
 class TestIsClassC:
@@ -454,7 +473,6 @@ class TestBisubRule:
             (softplus_squared(), 1, ("fail", "Delta^2 f < 0 at |x| = 2")),
             (softplus_squared(), 50, ("fail", "Delta^2 f < 0 at |x| = 51")),
             (softplus_squared(), 51, ("inconclusive", "no witness beyond d = 50")),
-            (spheretail.TestFunction("bump"), 3, ("inconclusive", "bump has no rule")),
         ],
         ids=lambda v: v.label if isinstance(v, spheretail.TestFunction) else None,
     )
@@ -597,7 +615,7 @@ class TestBcComparison:
         )
         assert verdict.note == "sum b_sq - sum a_sq = -5.55e-17, majorized only within tolerance"
         # pairs drawn as the benchmark draws them: none reads VIOLATED, and a
-        # pair reads INCONCLUSIVE only when its totals differ
+        # second-moment pair reads INCONCLUSIVE exactly when its totals differ
         rng = np.random.default_rng(5)
         inconclusive = 0
         for _ in range(3000):
@@ -608,7 +626,7 @@ class TestBcComparison:
             equal = math.fsum(pair.a_sq) == math.fsum(pair.b_sq)
             two, four = (bc_comparison_check(power(p), pair, 3) for p in (2, 4))
             assert four.verdict == "HOLDS" and two.verdict != "VIOLATED"
-            assert two.verdict == "HOLDS" or not equal
+            assert (two.verdict == "HOLDS") == equal
             inconclusive += two.verdict == "INCONCLUSIVE"
         assert inconclusive > 0
 

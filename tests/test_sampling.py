@@ -451,6 +451,14 @@ class TestMcTail:
         assert again == first
         assert peak < 2 * column + column // 2  # the two-row norms, and no buffer
 
+    def test_the_free_list_keeps_at_most_its_cap(self, monkeypatch):
+        # a 400-row task holds a chain buffer per row, 403 in all; the free
+        # list keeps 128 of them (32 MiB) and lets the rest go
+        free = []
+        monkeypatch.setattr(sampling, "_FREE_BUFFERS", free)
+        map_sum_norms([(np.sum, np.ones((400, 3)), 3)], 10, seed=1)
+        assert len(free) == sampling.FREE_BUFFERS_MAX == 128
+
     def test_no_buffer_of_the_free_list_reaches_a_task(self, monkeypatch):
         # a task may keep its norms (sample_sum_norms keeps views of them),
         # so they are never one of the recycled buffers
