@@ -307,13 +307,25 @@ def _json_encoder(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
+def _nested(values) -> bool:
+    """Whether any of VALUES is a dict, list or tuple."""
+    return any(isinstance(v, (dict, list, tuple)) for v in values)
+
+
 def _indented(doc, depth: int) -> str:
     """``json.dumps(doc, indent=2)`` at ``depth``: C-encoded flat parts, joined."""
-    encode, inner = _json_encoder(depth), "\n" + "  " * (depth + 1)
+    records = isinstance(doc, (list, tuple)) and all(
+        isinstance(v, dict) and v and not _nested(v.values()) for v in doc
+    )
+    encode, inner = _json_encoder(depth + 1 if records else depth), "\n" + "  " * (depth + 1)
     if not isinstance(doc, (dict, list, tuple)) or not doc:
         return encode(doc)
     values = doc.values() if isinstance(doc, dict) else doc
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+    if records:  # one C call, split at each "},<newline><indent>{": no string holds a newline
+        deeper = inner + "  "
+        split = inner + "}," + inner + "{" + deeper
+        body = "{" + deeper + encode(doc)[2:-2].replace("}," + deeper + "{", split) + inner + "}"
+    elif not _nested(values):
         body = encode(doc)[1:-1]
     else:  # a key's text is that of encode({k: None}) == '{"k": null}'
         keys = [encode({k: None})[1:-5] for k in doc] if isinstance(doc, dict) else [""] * len(doc)

@@ -11,8 +11,8 @@ is a Markov chain: adding a U to a sum of norm R gives norm
 where C is one coordinate of a uniform unit vector in R^d, drawn
 independently of the past (``cos_marginal`` samples its law, ``cos_rule``
 is its quadrature).  The chain starts at R = |a_1| without a draw, so a
-sample costs O(n) time in any dimension.  This form of the update gives
-|R +- a| exactly for d = 1 and keeps a one-coefficient norm exactly |a_1|.
+sample costs O(n) time in any dimension.  At d = 1 the step is |R + a C|,
+the form above bit for bit wherever (R + a C)^2 does not underflow, and exact.
 ``_radial_chain`` runs each row on its coefficients over the power of two
 that brings its largest below 1 (``bounds.pow2_above``, the rule that
 ``bounds.scale`` also uses) and scales its norms back, so no squared partial
@@ -227,13 +227,13 @@ def cos_rule(d) -> tuple[np.ndarray, np.ndarray]:
     return cosv, w / w.sum()
 
 
-def _radial_chain(tasks: list, cols: list, take: Callable, tmp: np.ndarray) -> list:
+def _radial_chain(tasks: list, cols: list, take: Callable, tmp: np.ndarray, d: int) -> list:
     """[(i, fn(norms)) for each task (i, fn, rows)]: row m of norms holds
-    len(tmp) samples of ||sum_j rows[m, j] U_j||, column j >= 1 of every row
-    using the C draws cols[j - 1].  The chains advance a column at a time in
-    buffers from ``take()``; once every row has added its a C, the column
-    becomes 1 - C^2 for every row to read, and ``tmp`` holds each product.
-    A task's norms are a fresh array, made just before its fn runs."""
+    len(tmp) samples of ||sum_j rows[m, j] U_j|| in R^d, column j >= 1 of
+    every row using the C draws cols[j - 1].  The chains advance a column at
+    a time in buffers from ``take()``; at d > 1, once every row has added its
+    a C, the column becomes 1 - C^2 for every row to read, and ``tmp`` holds
+    each product.  A task's norms are a fresh array, made just before its fn runs."""
     chains, steps = [], [[] for _ in cols]  # per column, (R, a) of each nonzero step
     for row in itertools.chain.from_iterable(rows for _, _, rows in tasks):
         s = pow2_above(np.abs(row).max())
@@ -243,14 +243,16 @@ def _radial_chain(tasks: list, cols: list, take: Callable, tmp: np.ndarray) -> l
         for column, a in zip(steps, row[1:]):
             if a:
                 column.append((r, a))
+    fold = np.abs if d == 1 else np.square  # C = +-1 at d = 1: the norm is |R + a C|
     for c, column in zip(cols, steps):
         for r, a in column:
             r += np.multiply(c, a, out=tmp)
-            r *= r
-        np.subtract(1.0, np.multiply(c, c, out=c), out=c)
-        for r, a in column:
-            r += np.multiply(c, a * a, out=tmp)
-            np.sqrt(r, out=r)
+            fold(r, out=r)
+        if d > 1:
+            np.subtract(1.0, np.multiply(c, c, out=c), out=c)
+            for r, a in column:
+                r += np.multiply(c, a * a, out=tmp)
+                np.sqrt(r, out=r)
     scaled = iter(chains)
 
     def norms(count: int) -> np.ndarray:
@@ -311,7 +313,7 @@ def map_sum_norms(tasks, n_samples: int, seed: int, workers: int = 1) -> list[li
         for d in family:
             start = len(held)
             cols = [_cos_column(d, x, take) for x in draws[: n[d]]]  # the chain overwrites them
-            out += [(i, k, v) for i, v in _radial_chain(groups[d], cols, take, tmp)]
+            out += [(i, k, v) for i, v in _radial_chain(groups[d], cols, take, tmp, d)]
             give_back(start)  # a job holds its shared draws and one d's columns
         give_back(0)
         return out
@@ -349,21 +351,26 @@ def mc_tail_batch(
     """``mc_tail_multi(d, coeffs, u_values, ...)`` for each (d, coeffs,
     u_values) in ``instances``, in that order, from one ``map_sum_norms``
     call (one pool for the whole batch), so every estimate equals the
-    one-instance call and does not depend on ``workers``."""
-    tasks = []
+    one-instance call and does not depend on ``workers``.  Instances of one d
+    and vector, trailing zeros dropped, are one task counting each u once."""
+    counted, queries = {}, []  # counted: (d, coefficients) -> {u: its hits}
     for d, coeffs, u_values in instances:
-        a = coeff_array(coeffs)
+        key = (check_dimension(d), tuple(np.trim_zeros(coeff_array(coeffs), "b").tolist()))
         us = np.asarray(u_values, dtype=float)
         if us.ndim != 1 or us.size < 1:
             raise ValueError("u_values must be a nonempty sequence of reals")
-        tasks.append((_hit_counter([check_threshold(u) for u in us]), a, d))
+        queries.append((key, [check_threshold(u) for u in us]))
+        counted.setdefault(key, {}).update(dict.fromkeys(queries[-1][1], 0))
     check_alpha(alpha)
-    hits = [np.sum(chunks, axis=0) for chunks in map_sum_norms(tasks, n_samples, seed, workers)]
+    tasks = [(_hit_counter(list(us)), a, d) for (d, a), us in counted.items()]
+    for counts, chunks in zip(counted.values(), map_sum_norms(tasks, n_samples, seed, workers)):
+        counts.update(zip(list(counts), np.sum(chunks, axis=0).tolist()))
+    hits = [[counted[key][u] for u in us] for key, us in queries]
     every = np.fromiter(itertools.chain(*hits), np.int64)  # one elementwise interval call
     intervals = zip(*(x.tolist() for x in clopper_pearson(every, n_samples, alpha)))
     return [
         [McEstimate(h / n_samples, *next(intervals), n_samples, h, seed, alpha) for h in hs]
-        for hs in map(np.ndarray.tolist, hits)
+        for hs in hits
     ]
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
 from spheretail import bisub_rule, parse_test_function
-from spheretail import __version__, bounds, report
+from spheretail import __version__, bounds, report, sampling
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
 from spheretail.sampling import CHUNK_SIZE
@@ -287,8 +287,9 @@ class TestCheckCommand:
         assert doc["lhs"] == 1.0 and doc["rhs"] == 1.5
 
     def test_bc_unequal_totals_positive_margin_is_inconclusive(self, capsys):
-        # the totals 0.3 and 0.30000000000000004 differ by 1 ulp, and the exact
-        # second-moment margin is that gap: not evidence that the comparison holds
+        # the totals 0.3 and 0.30000000000000004 differ by 1 ulp (the exact sums
+        # by 2.78e-17), and the exact second-moment margin is that gap: not
+        # evidence that the comparison holds
         code, out, _ = run_cli(
             capsys, "check", "bc", "--f", "power2", "--a-sq", "0.3,0", "--b-sq", "0.1,0.2",
             "--d", "3",
@@ -296,8 +297,27 @@ class TestCheckCommand:
         assert code == 0
         assert out == (
             "lhs=0.3 rhs=0.3 margin=5.55111512313e-17 margin_se=0 verdict=INCONCLUSIVE "
-            "conclusive=False method=exact-m2 note=sum b_sq - sum a_sq = 5.55e-17, "
+            "conclusive=False method=exact-m2 note=sum b_sq - sum a_sq = 2.78e-17, "
             "majorized only within tolerance\n"
+        )
+
+    def test_bc_fourth_moment_within_the_gap_is_inconclusive(self, capsys):
+        # both totals round to 0.30000000000000004, but the exact sums differ
+        # by 1.39e-17, and the m4 margin 0 is no more than that gap makes; a
+        # strict pair beside a 1-ulp gap keeps its verdict
+        argv = ("check", "bc", "--f", "power4", "--b-sq", "0.1,0.2", "--d", "3")
+        code, out, _ = run_cli(capsys, *argv, "--a-sq", "0.2,0.10000000000000002")
+        assert code == 0
+        assert out == (
+            "lhs=0.116666666667 rhs=0.116666666667 margin=0 margin_se=0 verdict=INCONCLUSIVE "
+            "conclusive=False method=exact-m4 note=sum b_sq - sum a_sq = -1.39e-17, "
+            "majorized only within tolerance\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "--a-sq", "0.3,0")
+        assert code == 0
+        assert out == (
+            "lhs=0.09 rhs=0.116666666667 margin=0.0266666666667 margin_se=0 verdict=HOLDS "
+            "conclusive=True method=exact-m4\n"
         )
 
     def test_bisub_fail_exit_code(self, capsys):
@@ -620,6 +640,15 @@ def test_json_text_is_the_indented_dump(doc):
     assert report.json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+def test_a_list_of_records_is_the_indented_dump():
+    # a list of flat dicts goes through one C call, split at the records'
+    # boundaries; strings that look like a boundary are escaped, never split
+    tricky = ["},\n    {", "}\n", "{", "}", '"},"', ""]
+    records = [{"k": v, "n": i, "x": [1.5, None][i % 2]} for i, v in enumerate(tricky)]
+    for doc in (records, {"records": records, "meta": {"seed": 1}}, [[records[0]], records]):
+        assert report.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def _subparsers(parser):
     """The subcommand name -> parser map of PARSER ({} if it has none)."""
     actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -792,6 +821,27 @@ class TestVerifyCommand:
         stamp = datetime.fromisoformat(stamped["meta"].pop("timestamp"))
         assert stamp.utcoffset() == timedelta(0)
         assert stamped == plain
+
+    def test_a_repeated_vector_runs_one_counter(self, capsys, monkeypatch):
+        # equal and single are both [1.0] at n = 1: one counter runs on the
+        # one chunk, and the rows are those of the two patterns' own runs
+        calls = []
+        make = sampling._hit_counter
+
+        def counter(us):
+            count = make(us)
+            return lambda r: calls.append(len(us)) or count(r)
+
+        monkeypatch.setattr(sampling, "_hit_counter", counter)
+        argv = ["verify", "--d", "1", "--n", "1", "--samples", "1000", "--format", "csv"]
+        code, both, _ = run_cli(capsys, *argv, "--patterns", "equal,single")
+        assert code == 0 and calls == [7]
+        header, *rows = both.splitlines()
+        for pattern in ("equal", "single"):
+            code, alone, _ = run_cli(capsys, *argv, "--patterns", pattern)
+            assert code == 0 and alone.splitlines() == [header, *rows[:7]]
+            rows = rows[7:]
+        assert rows == []
 
     def test_summary_line(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS)

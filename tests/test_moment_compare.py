@@ -123,6 +123,8 @@ class TestTestFunctions:
               for r in (0.0, math.nan)),
             *((("power", 4.0, s), f"test-function sign must be finite and nonzero, got {s!r}")
               for s in (0.0, math.nan, math.inf)),
+            *((("softplus_squared", q), f"softplus_squared takes no parameter, got {q!r}")
+              for q in (5.0, math.nan)),
         ],
         ids=repr,
     )
@@ -606,16 +608,17 @@ class TestBcComparison:
         assert verdict.margin_se < math.hypot(verdict.lhs_se, verdict.rhs_se)
 
     def test_unequal_totals_never_read_violated(self):
-        # 0.1 + 0.2 and 0.15 + 0.15 differ by 1 ulp, within the majorization
-        # tolerance, so the exact margin -5.55e-17 is no counterexample
+        # 0.1 + 0.2 and 0.15 + 0.15 round 1 ulp apart, within the majorization
+        # tolerance, so the exact margin -5.55e-17 is no counterexample; the
+        # note gives the exact sums' gap, rounded once
         pair = MajorizationPair((0.1, 0.2), (0.15, 0.15))
         verdict = bc_comparison_check(power(2), pair, 3)
         assert (verdict.margin, verdict.verdict, verdict.conclusive) == (
             -5.551115123125783e-17, "INCONCLUSIVE", False
         )
-        assert verdict.note == "sum b_sq - sum a_sq = -5.55e-17, majorized only within tolerance"
+        assert verdict.note == "sum b_sq - sum a_sq = -2.78e-17, majorized only within tolerance"
         # pairs drawn as the benchmark draws them: none reads VIOLATED, and a
-        # second-moment pair reads INCONCLUSIVE exactly when its totals differ
+        # second-moment pair reads INCONCLUSIVE exactly when its exact totals differ
         rng = np.random.default_rng(5)
         inconclusive = 0
         for _ in range(3000):
@@ -623,7 +626,7 @@ class TestBcComparison:
             w = rng.uniform(0.0, 1.0, n)
             w[0] += n
             pair = MajorizationPair(tuple(w / w.sum()), (1.0 / n,) * n)
-            equal = math.fsum(pair.a_sq) == math.fsum(pair.b_sq)
+            equal = math.fsum([*pair.a_sq, *(-v for v in pair.b_sq)]) == 0.0
             two, four = (bc_comparison_check(power(p), pair, 3) for p in (2, 4))
             assert four.verdict == "HOLDS" and two.verdict != "VIOLATED"
             assert (two.verdict == "HOLDS") == equal

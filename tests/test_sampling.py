@@ -98,12 +98,12 @@ def reference_chain(rows, cols, size):
     return np.array(out)
 
 
-def engine_chain(rows, cols, size):
-    """``sampling._radial_chain`` of one stack, in fresh buffers and on
+def engine_chain(rows, cols, size, d):
+    """``sampling._radial_chain`` of one stack at d, in fresh buffers and on
     copies of its columns, which the chain overwrites by 1 - C^2."""
     take = functools.partial(np.empty, size)
     copies = [c.copy() for c in cols]
-    [(_, norms)] = sampling._radial_chain([(0, np.copy, rows)], copies, take, take())
+    [(_, norms)] = sampling._radial_chain([(0, np.copy, rows)], copies, take, take(), d)
     return norms
 
 
@@ -264,7 +264,7 @@ class TestRadialChain:
         rng = RngStream(31, d).generator()
         cols = [cos_marginal(rng, d, size) for _ in range(9)]
         for a in map(np.array, rows):
-            assert np.array_equal(engine_chain(a, cols, size), reference_chain(a, cols, size))
+            assert np.array_equal(engine_chain(a, cols, size, d), reference_chain(a, cols, size))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10])
     @pytest.mark.parametrize(
@@ -294,6 +294,14 @@ class TestRadialChain:
         for d in (1, 2, 3, 5):
             unit = sample_sum_norms([1.0] * 10, d, 5000, seed=d)
             assert np.array_equal(sample_sum_norms([big] * 10, d, 5000, seed=d), big * unit)
+
+    def test_d1_steps_are_exact_where_the_square_underflows(self):
+        # |R + a C| at d = 1: 1 - 1 + 1e-300 is 1e-300, whose square would
+        # underflow to 0 and read that norm as 0
+        norms = sample_sum_norms([1.0, 1.0, 1e-300], 1, 2000, seed=3)
+        assert set(norms.tolist()) == {1e-300, 2.0}
+        [est] = mc_tail_multi(1, [1.0, 1.0, 1e-300], [5e-301], 2000, seed=3)
+        assert est.hits / 2000 == exact_rademacher_tail([1.0, 1.0, 1e-300], 5e-301) == 1.0
 
     def test_no_hits_above_the_largest_norm(self):
         # ||sum a_i U_i|| <= sum |a_i| = 4e154
@@ -359,6 +367,37 @@ class TestMcTail:
         alone = [mc_tail_multi(d, a, us, n, seed=4) for d, a, us in instances]
         for workers in (1, 2, 3):
             assert mc_tail_batch(instances, n, seed=4, workers=workers) == alone
+
+    def test_repeated_vectors_share_one_task(self, monkeypatch):
+        # [1.0], [1.0, 0.0] and [1.0] are one vector once trailing zeros go,
+        # as are [1, 0.5] and [1, 0.5, 0, 0]: one task counts each of their
+        # thresholds once, and every estimate is still its one-instance
+        # call's; another order or another d is another stream
+        instances = [
+            (2, (1.0,), [0.5, 1.5]),
+            (2, (1.0, 0.0), [1.5, 0.9]),
+            (2, (1.0,), [0.5]),
+            (3, (1.0, 0.5), [1.2, 0.8]),
+            (3, (1.0, 0.5, 0.0, 0.0), [0.8, 1.4]),
+            (3, (0.5, 1.0), [1.2]),
+            (1, (1.0,), [0.5]),
+        ]
+        n = CHUNK_SIZE + 1000
+        alone = [mc_tail_multi(d, a, us, n, seed=6) for d, a, us in instances]
+        counted = []
+        make = sampling._hit_counter
+        monkeypatch.setattr(sampling, "_hit_counter", lambda us: counted.append(us) or make(us))
+        for workers in (1, 2):
+            counted.clear()
+            assert mc_tail_batch(instances, n, seed=6, workers=workers) == alone
+            assert counted == [[0.5, 1.5, 0.9], [1.2, 0.8, 1.4], [1.2], [0.5]]
+
+    def test_trailing_zeros_draw_no_column(self, uniform_blocks):
+        # a d whose vectors have one nonzero coefficient draws nothing, and
+        # d = 5 draws the V and W blocks of its one column, in each chunk
+        instances = [(2, (1.0, 0.0, 0.0), [0.5]), (5, (2.0, 1.0, 0.0), [0.5])]
+        mc_tail_batch(instances, 2 * CHUNK_SIZE, seed=0)
+        assert sorted(map(len, uniform_blocks)) == [0, 0, 2, 2]
 
     def test_stacked_task_grouped_with_one_row_tasks(self):
         # each row of a two-row task keeps its own scale beside other tasks
@@ -530,11 +569,11 @@ class TestMcTail:
         seen = {}
         chain = sampling._radial_chain
 
-        def recording(tasks, cols, take, tmp):
+        def recording(tasks, cols, take, tmp, d):
             # copies: the chain overwrites its columns, and their buffers are reused
             [(_, _, rows)] = tasks
             seen[int(rows[0, 0]), len(tmp)] = [c.copy() for c in cols]
-            return chain(tasks, cols, take, tmp)
+            return chain(tasks, cols, take, tmp, d)
 
         monkeypatch.setattr(sampling, "_radial_chain", recording)
         sizes = (CHUNK_SIZE, 1000)
