@@ -261,8 +261,8 @@ def run_sweep(
     planned = samples * len(instances)
     if planned > budget:
         raise CapacityError(
-            f"sweep would draw {planned} Monte Carlo samples over "
-            f"{len(instances)} runs, above the budget of {budget}"
+            f"sweep asks for {samples} Monte Carlo samples x {len(instances)} runs = "
+            f"{planned}, above the budget of {budget}"
         )
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)

@@ -351,27 +351,25 @@ def mc_tail_batch(
     """``mc_tail_multi(d, coeffs, u_values, ...)`` for each (d, coeffs,
     u_values) in ``instances``, in that order, from one ``map_sum_norms``
     call (one pool for the whole batch), so every estimate equals the
-    one-instance call and does not depend on ``workers``.  Instances of one d
-    and vector, trailing zeros dropped, are one task counting each u once."""
-    counted, queries = {}, []  # counted: (d, coefficients) -> {u: its hits}
+    one-instance call and does not depend on ``workers``.  Identical queries
+    (d, vector with trailing zeros dropped, thresholds) share one task."""
+    queries = []  # (d, coefficients without trailing zeros, thresholds) of each instance
     for d, coeffs, u_values in instances:
-        key = (check_dimension(d), tuple(np.trim_zeros(coeff_array(coeffs), "b").tolist()))
+        d, a = check_dimension(d), tuple(np.trim_zeros(coeff_array(coeffs), "b").tolist())
         us = np.asarray(u_values, dtype=float)
         if us.ndim != 1 or us.size < 1:
             raise ValueError("u_values must be a nonempty sequence of reals")
-        queries.append((key, [check_threshold(u) for u in us]))
-        counted.setdefault(key, {}).update(dict.fromkeys(queries[-1][1], 0))
+        queries.append((d, a, tuple(check_threshold(u) for u in us)))
     check_alpha(alpha)
-    tasks = [(_hit_counter(list(us)), a, d) for (d, a), us in counted.items()]
-    for counts, chunks in zip(counted.values(), map_sum_norms(tasks, n_samples, seed, workers)):
-        counts.update(zip(list(counts), np.sum(chunks, axis=0).tolist()))
-    hits = [[counted[key][u] for u in us] for key, us in queries]
-    every = np.fromiter(itertools.chain(*hits), np.int64)  # one elementwise interval call
-    intervals = zip(*(x.tolist() for x in clopper_pearson(every, n_samples, alpha)))
-    return [
-        [McEstimate(h / n_samples, *next(intervals), n_samples, h, seed, alpha) for h in hs]
-        for hs in hits
-    ]
+    distinct = list(dict.fromkeys(queries))
+    tasks = [(_hit_counter(list(us)), a, d) for d, a, us in distinct]
+    hits = [np.sum(chunks, axis=0) for chunks in map_sum_norms(tasks, n_samples, seed, workers)]
+    intervals = zip(*(x.tolist() for x in clopper_pearson(np.concatenate(hits), n_samples, alpha)))
+    estimates = {
+        query: [McEstimate(h / n_samples, *next(intervals), n_samples, h, seed, alpha) for h in hs]
+        for query, hs in zip(distinct, (h.tolist() for h in hits))
+    }
+    return [list(estimates[query]) for query in queries]
 
 
 def mc_tail_multi(

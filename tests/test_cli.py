@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from spheretail import BoundResult, McEstimate, RngStream, VerificationRecord, get_constant
 from spheretail import bisub_rule, parse_test_function
-from spheretail import __version__, bounds, report, sampling
+from spheretail import __version__, bounds, moment_compare, report, sampling
 from spheretail.cli import build_parser, main
 from spheretail.report import CSV_COLUMNS, CoefficientPattern, records_to_json, run_sweep
 from spheretail.sampling import CHUNK_SIZE
@@ -318,6 +318,50 @@ class TestCheckCommand:
         assert out == (
             "lhs=0.09 rhs=0.116666666667 margin=0.0266666666667 margin_se=0 verdict=HOLDS "
             "conclusive=True method=exact-m4\n"
+        )
+
+    @pytest.mark.parametrize(
+        "f, lhs, margin",
+        [("power3", "0.164316767252", "8.32667268469e-17"),
+         ("cosh", "1.15378770156", "2.22044604925e-16")],
+    )
+    def test_bc_constant_norm_gap_is_inconclusive(self, capsys, f, lhs, margin):
+        # one coefficient on each side: majorization makes the totals agree,
+        # so the whole exact margin is the 1-ulp gap, in either order
+        for a_sq, b_sq, sign, gap in (
+            ("0.3", "0.30000000000000004", "", "5.55e-17"),
+            ("0.30000000000000004", "0.3", "-", "-5.55e-17"),
+        ):
+            argv = ("check", "bc", "--f", f, "--a-sq", a_sq, "--b-sq", b_sq, "--d", "3")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == (
+                f"lhs={lhs} rhs={lhs} margin={sign}{margin} margin_se=0 verdict=INCONCLUSIVE "
+                f"conclusive=False method=exact-constant-norm note=sum b_sq - sum a_sq = {gap}, "
+                "majorized only within tolerance\n"
+            )
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("gauss", "--f", "power3", "--coeffs", "1,0", "--d", "3"),
+             "lhs=1 rhs=1.22842364256 margin=0.228423642565"),
+            (("kwapien", "--coeffs", "1,0", "--d", "3", "--p", "3"),
+             "lhs=1 rhs=6.38307648642 margin=5.38307648642"),
+            (("bc", "--f", "power3", "--a-sq", "1,0", "--b-sq", "1,0", "--d", "3"),
+             "lhs=1 rhs=1 margin=0"),
+        ],
+    )
+    def test_one_nonzero_coefficient_draws_no_sample(self, capsys, monkeypatch, argv, line):
+        # a zero coefficient takes no step, so the norm is the constant |a_1|
+        def no_draws(*args):
+            raise AssertionError("map_sum_norms called")
+
+        monkeypatch.setattr(moment_compare, "map_sum_norms", no_draws)
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 0
+        assert out == (
+            f"{line} margin_se=0 verdict=HOLDS conclusive=True method=exact-constant-norm\n"
         )
 
     def test_bisub_fail_exit_code(self, capsys):
@@ -854,6 +898,19 @@ class TestVerifyCommand:
             "--samples", "200000", "--budget", "100000",
         )
         assert code == 3 and "budget" in err
+
+    def test_budget_counts_samples_per_run(self, capsys):
+        # the two runs are one query and draw 60,000 samples, but the budget
+        # counts samples times runs, as summary.mc_samples_drawn does
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "1", "--n", "1", "--patterns", "equal,single",
+            "--samples", "60000", "--budget", "100000",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: sweep asks for 60000 Monte Carlo samples x 2 runs = 120000, "
+            "above the budget of 100000\n"
+        )
 
     def test_sharpness_ratio_visible_at_d1(self, capsys, tmp_path):
         # two equal coefficients at d = 1: near the atom at sqrt(2) the

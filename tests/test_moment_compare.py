@@ -633,6 +633,24 @@ class TestBcComparison:
             inconclusive += two.verdict == "INCONCLUSIVE"
         assert inconclusive > 0
 
+    def test_an_exact_margin_of_a_gap_alone_never_holds(self):
+        # b_sq is a_sq reversed with its largest entry 1 ulp off either way:
+        # at equal totals every exact margin here is 0, so an exact margin is
+        # the gap's alone, and no exact method may read HOLDS on it; a new
+        # exact law that bc takes must join the set below, so none skips
+        # the gap rule unseen
+        profiles = [power(p) for p in (2, 3, 4, 6)] + [power(2).negate(), cosh_profile(1.0)]
+        methods = set()
+        for a_sq in ((0.3,), (0.2, 0.1), (0.5, 0.3, 0.2)):
+            for step in (-math.inf, math.inf):
+                pair = MajorizationPair(a_sq, (*a_sq[:0:-1], math.nextafter(a_sq[0], step)))
+                for fn in profiles:
+                    verdict = bc_comparison_check(fn, pair, 3, samples=2000)
+                    if verdict.method != "mc-crn":
+                        methods.add(verdict.method)
+                        assert verdict.verdict == "INCONCLUSIVE", (fn.label, pair, verdict)
+        assert methods == {"exact-m2", "exact-m4", "exact-constant-norm"}
+
     def test_seed_stability_within_pooled_se(self):
         pair = MajorizationPair((0.8, 0.2), (0.5, 0.5))
         v1 = bc_comparison_check(cosh_profile(1.0), pair, 3, samples=60_000, seed=5)
@@ -812,8 +830,8 @@ class TestKwapien:
     def test_constant_norm_has_no_mc_error(self):
         # a zero second coefficient keeps the norm exactly 0.3
         verdict = kwapien_check([0.3, 0.0], 3, 3.5)
-        assert verdict.method == "mc-vs-exact"
-        assert verdict.lhs_se < 1e-18
+        assert verdict.method == "exact-constant-norm"
+        assert verdict.lhs_se == 0.0
 
 
 # one Monte Carlo call of each comparison check, as a function of alpha

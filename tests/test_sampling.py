@@ -34,7 +34,7 @@ from spheretail import (
     second_moment_exact,
 )
 from spheretail.bounds import pow2_above
-from spheretail.report import CoefficientPattern
+from spheretail.report import CoefficientPattern, parse_pattern, run_sweep
 from spheretail import sampling
 from spheretail.sampling import (
     CHUNK_SIZE,
@@ -370,9 +370,9 @@ class TestMcTail:
 
     def test_repeated_vectors_share_one_task(self, monkeypatch):
         # [1.0], [1.0, 0.0] and [1.0] are one vector once trailing zeros go,
-        # as are [1, 0.5] and [1, 0.5, 0, 0]: one task counts each of their
-        # thresholds once, and every estimate is still its one-instance
-        # call's; another order or another d is another stream
+        # as are [1, 0.5] and [1, 0.5, 0, 0]; with other thresholds each is
+        # its own query and counter, and every estimate is still its
+        # one-instance call's; another order or another d is another stream
         instances = [
             (2, (1.0,), [0.5, 1.5]),
             (2, (1.0, 0.0), [1.5, 0.9]),
@@ -390,7 +390,45 @@ class TestMcTail:
         for workers in (1, 2):
             counted.clear()
             assert mc_tail_batch(instances, n, seed=6, workers=workers) == alone
-            assert counted == [[0.5, 1.5, 0.9], [1.2, 0.8, 1.4], [1.2], [0.5]]
+            assert counted == [us for _, _, us in instances]
+
+    def test_identical_queries_share_one_task(self, monkeypatch):
+        # (d, vector without trailing zeros, thresholds) is the query: the
+        # repeats below run one counter each, and their estimates are equal
+        # to each other and to the one-instance calls
+        instances = [
+            (3, (1.0, 0.5), [1.2, 0.8]),
+            (2, (1.0,), [0.5]),
+            (3, (1.0, 0.5, 0.0), [1.2, 0.8]),
+            (2, (1.0, 0.0, 0.0), [0.5]),
+            (3, (1.0, 0.5), [0.8, 1.2]),
+            (2, (1.0,), [0.5]),
+        ]
+        n = CHUNK_SIZE + 1000
+        alone = [mc_tail_multi(d, a, us, n, seed=7) for d, a, us in instances]
+        counted = []
+        make = sampling._hit_counter
+        monkeypatch.setattr(sampling, "_hit_counter", lambda us: counted.append(us) or make(us))
+        for workers in (1, 2):
+            counted.clear()
+            batch = mc_tail_batch(instances, n, seed=7, workers=workers)
+            assert batch == alone and batch[0] == batch[2] and batch[1] == batch[3] == batch[5]
+            assert counted == [[1.2, 0.8], [0.5], [0.8, 1.2]]
+
+    def test_accept_grid_runs_one_task_per_distinct_query(self, monkeypatch):
+        # the 60 instances of the acceptance grid are 35 distinct queries (at
+        # n = 1 all three patterns, and `single` at every n, are [1.0] with the
+        # same 7 thresholds per d), so one interval call gets 35 * 7 counts
+        sizes = {"map_sum_norms": [], "clopper_pearson": []}
+        for name, seen in sizes.items():
+            wrapped = getattr(sampling, name)
+            monkeypatch.setattr(
+                sampling, name, lambda x, *args, f=wrapped, s=seen: s.append(len(x)) or f(x, *args)
+            )
+        patterns = tuple(map(parse_pattern, ("equal", "single", "geometric:0.5")))
+        records, _ = run_sweep((1, 2, 3, 5, 10), (1, 2, 5, 10), patterns, samples=1000, seed=1)
+        assert len(records) == 420
+        assert sizes == {"map_sum_norms": [35], "clopper_pearson": [245]}
 
     def test_trailing_zeros_draw_no_column(self, uniform_blocks):
         # a d whose vectors have one nonzero coefficient draws nothing, and
