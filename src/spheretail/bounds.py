@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .gaussian_chi import check_dimension, chi_tail, phi_cdf, phi_tail
+from .gaussian_chi import check_dimension, chi_tail, chi_tails, phi_cdf, phi_tail
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -68,9 +68,9 @@ def coeff_array(entries: Sequence[float]) -> np.ndarray:
     a = np.atleast_1d(np.asarray(entries, dtype=float))
     if a.ndim != 1 or a.size < 1:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coefficients must all be finite")
-    if not 0.0 < sum_sq(a) < math.inf:
+    if not 0.0 < sum_sq(a) < math.inf:  # a NaN or inf entry makes it NaN or inf
+        if not np.isfinite(a).all():
+            raise ValueError("coefficients must all be finite")
         raise ValueError("coefficients need a positive, finite sum of squares")
     return a
 
@@ -151,13 +151,20 @@ class BoundResult:
     capped: float
 
 
-def scale(coeffs: Sequence[float], d) -> float:
-    """Comparator scale sqrt((a_1^2 + ... + a_n^2) / d), summed over a / s for
-    s = min(pow2_above(max |a_i|), 1), so no square of a tiny vector is subnormal;
-    where every a_i^2 and the sum over d are normal, s changes no bit."""
+def scales(coeffs: Sequence[float], dims: Sequence[int]) -> list[float]:
+    """Comparator scale sqrt((a_1^2 + ... + a_n^2) / d) for each d of ``dims``,
+    summed once over a / s for s = min(pow2_above(max |a_i|), 1), so no square
+    of a tiny vector is subnormal; where every a_i^2 and the sum over d are
+    normal, s changes no bit."""
     a = coeff_array(coeffs)
-    s = min(pow2_above(np.abs(a).max()), 1.0)
-    return s * math.sqrt(sum_sq(a / s) / check_dimension(d))
+    s = min(pow2_above(max(map(abs, a.tolist()))), 1.0)
+    q = sum_sq(a / s)
+    return [s * math.sqrt(q / check_dimension(d)) for d in dims]
+
+
+def scale(coeffs: Sequence[float], d) -> float:
+    """The comparator scale of ``coeffs`` in dimension d: ``scales`` at one d."""
+    return scales(coeffs, (d,))[0]
 
 
 def comparator_tail(d: int, u: float, s: float) -> float:
@@ -172,12 +179,27 @@ def comparator_tail(d: int, u: float, s: float) -> float:
     return chi_tail(d, ratio)
 
 
-def comparator_bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
-    """c * P(s ||Z_d|| > u), raw and capped at 1: the one bound formula."""
-    c = get_constant(constant)
-    tail = comparator_tail(d, u, s)
+def _bound_result(c: BoundConstant, s: float, tail: float) -> BoundResult:
+    """c * tail, raw and capped at 1: the one bound formula."""
     raw = c.value * tail
     return BoundResult(constant=c, scale=s, tail=tail, raw=raw, capped=min(raw, 1.0))
+
+
+def comparator_bound(constant: str | BoundConstant, s: float, d: int, u: float) -> BoundResult:
+    """c * P(s ||Z_d|| > u), raw and capped at 1: ``comparator_bounds`` at one
+    threshold and one constant, without its arrays."""
+    return _bound_result(get_constant(constant), s, comparator_tail(d, u, s))
+
+
+def comparator_bounds(
+    constants: Sequence[str | BoundConstant], s: float, d: int, u_values: Sequence[float]
+) -> list[list[BoundResult]]:
+    """[[comparator_bound(c, s, d, u) for c in constants] for u in u_values],
+    bit for bit, with every tail from one ``chi_tails`` call on the ratios
+    u / s; a ratio that overflows is +-inf there, with tail 0 or 1."""
+    cs = [get_constant(c) for c in constants]
+    tails = chi_tails(d, [check_threshold(u) / s for u in u_values])
+    return [[_bound_result(c, s, tail) for c in cs] for tail in tails]
 
 
 def theorem_bound(query: TailQuery, constant: str | BoundConstant = C3) -> BoundResult:

@@ -84,6 +84,17 @@ def chi_tail(d, u: float) -> float:
     return float(special.gammaincc(0.5 * d, 0.5 * u * u))
 
 
+def chi_tails(d, u_values) -> list[float]:
+    """``[chi_tail(d, u) for u in u_values]``, bit for bit, from one gammaincc
+    call; u may also be +-inf, with tails 0 and 1, the limits.  As floats,
+    u^2 / 2 overflows to inf silently, and Q(d/2, 0) = 1 is the tail at u <= 0."""
+    d = check_dimension(d)
+    us = [float(u) for u in u_values]
+    if any(math.isnan(u) for u in us):
+        raise ValueError("chi_tails requires thresholds that are not NaN")
+    return special.gammaincc(0.5 * d, [0.5 * u * u if u > 0.0 else 0.0 for u in us]).tolist()
+
+
 def chi_tail_log(d, u: float) -> float:
     """log P(||Z_d|| > u), computed entirely in log space.
 

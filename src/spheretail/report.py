@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundResult, coeff_array, comparator_bound, get_constant, scale
+from .bounds import BoundResult, coeff_array, comparator_bounds, get_constant, scale, scales
 from .gaussian_chi import check_dimension, chi_tail_inverse
 from .sampling import CapacityError, McEstimate, judge, mc_tail_batch
 
@@ -203,11 +203,17 @@ def bound_records(
     _reject_repeats("threshold", thresholds)
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)
-    s = scale(coeffs, d)
+    return _records(d, len(coeffs), pattern, scale(coeffs, d), thresholds, constants, estimates)
+
+
+def _records(d, n, pattern, s, thresholds, constants, estimates) -> list[VerificationRecord]:
+    """``bound_records`` of a vector of length n and comparator scale s, on a
+    checked grid of distinct thresholds and constants."""
+    rows = comparator_bounds(constants, s, d, thresholds)
     return [
-        VerificationRecord(d, len(coeffs), pattern, u, comparator_bound(c, s, d, u), est)
-        for u, est in zip(thresholds, estimates or [None] * len(thresholds))
-        for c in constants
+        VerificationRecord(d, n, pattern, u, bound, est)
+        for u, est, row in zip(thresholds, estimates or [None] * len(thresholds), rows)
+        for bound in row
     ]
 
 
@@ -231,7 +237,8 @@ def run_sweep(
     sharing its sample stream over the whole threshold grid: the fixed
     ``thresholds`` if given, else the comparator tail ``quantiles``; one
     ``mc_tail_batch`` call runs every instance's pass on one pool.  Then
-    one record per (threshold, constant)."""
+    one record per (threshold, constant).  Each vector is made, checked and
+    scaled in every dimension once."""
     # plain ints, as the records carry them into the JSON report
     dimensions = [check_dimension(d) for d in dimensions]
     seed, samples = operator.index(seed), operator.index(samples)
@@ -266,19 +273,22 @@ def run_sweep(
         )
     constants = [get_constant(c) for c in constants]
     _reject_repeats("constant", constants, lambda c: c.name)
+    vectors = {}  # (pattern, n) -> (coefficients, {d: comparator scale})
+    for _, n, pat in instances:
+        if (pat, n) not in vectors:
+            coeffs = pat.materialize(n, normalize)
+            vectors[pat, n] = coeffs, dict(zip(dimensions, scales(coeffs, dimensions)))
+    if thresholds is None:
+        chi_quantiles = {d: [chi_tail_inverse(d, q) for q in quantiles] for d in dimensions}
     queries = []
-    chi_quantile = functools.cache(chi_tail_inverse)  # once per (d, quantile)
     for d, n, pat in instances:
-        coeffs = pat.materialize(n, normalize)
-        us = thresholds
-        if us is None:
-            a_cmp = scale(coeffs, d)
-            us = [a_cmp * chi_quantile(d, q) for q in quantiles]
+        coeffs, s = vectors[pat, n][0], vectors[pat, n][1][d]
+        us = thresholds if thresholds is not None else [s * x for x in chi_quantiles[d]]
         queries.append((d, coeffs, us))
     batch = mc_tail_batch(queries, samples, seed, alpha, workers)
     records: list[VerificationRecord] = []
-    for (d, coeffs, us), (_, _, pat), estimates in zip(queries, instances, batch):
-        records += bound_records(d, pat.label, coeffs, us, constants, estimates)
+    for (d, n, pat), (_, _, us), estimates in zip(instances, queries, batch):
+        records += _records(d, n, pat.label, vectors[pat, n][1][d], us, constants, estimates)
     verdicts = Counter(r.verdict for r in records)
     summary = SweepSummary(
         n_records=len(records),
@@ -312,11 +322,15 @@ def _nested(values) -> bool:
     return any(isinstance(v, (dict, list, tuple)) for v in values)
 
 
+class _FlatDicts(list):
+    """A list of nonempty dicts whose values are neither dicts, lists nor
+    tuples (sweep and bound records), which ``_indented`` encodes in one C
+    call without looking at each value."""
+
+
 def _indented(doc, depth: int) -> str:
     """``json.dumps(doc, indent=2)`` at ``depth``: C-encoded flat parts, joined."""
-    records = isinstance(doc, (list, tuple)) and all(
-        isinstance(v, dict) and v and not _nested(v.values()) for v in doc
-    )
+    records = isinstance(doc, _FlatDicts)
     encode, inner = _json_encoder(depth + 1 if records else depth), "\n" + "  " * (depth + 1)
     if not isinstance(doc, (dict, list, tuple)) or not doc:
         return encode(doc)
@@ -352,5 +366,5 @@ def records_to_json(
     doc: dict = {"meta": meta}
     if summary is not None:
         doc["summary"] = asdict(summary)
-    doc["records"] = [rec.json_dict() for rec in records]
+    doc["records"] = _FlatDicts(rec.json_dict() for rec in records)
     return json_text(doc)

@@ -336,9 +336,19 @@ def sample_sum_norms(coeffs: Sequence[float], d, n_samples: int, seed: int) -> n
     return np.concatenate(chunks)
 
 
+#: thresholds that one comparison of a chunk's norms takes at once: the mask
+#: is then no larger than a CHUNK_SIZE float64 buffer
+COUNT_BLOCK = 8
+
+
 def _hit_counter(us: list[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """norms -> the number of norms above each threshold in ``us``."""
-    return lambda r: np.array([np.count_nonzero(r > ui) for ui in us], dtype=np.int64)
+    """one row of norms -> the number of its norms above each threshold in
+    ``us``, from one broadcast comparison per ``COUNT_BLOCK`` thresholds (each
+    numpy call in a worker takes the interpreter lock again)."""
+    blocks = [np.array(us[i : i + COUNT_BLOCK])[:, None] for i in range(0, len(us), COUNT_BLOCK)]
+    return lambda r: np.array(
+        [np.count_nonzero(row) for col in blocks for row in r > col], dtype=np.int64
+    )
 
 
 def mc_tail_batch(
@@ -352,22 +362,34 @@ def mc_tail_batch(
     u_values) in ``instances``, in that order, from one ``map_sum_norms``
     call (one pool for the whole batch), so every estimate equals the
     one-instance call and does not depend on ``workers``.  Identical queries
-    (d, vector with trailing zeros dropped, thresholds) share one task."""
+    (d, vector with trailing zeros dropped, thresholds) share one task, and
+    a vector of one entry a_1 runs none: its chain's norm is |a_1| exactly,
+    so it counts n_samples hits where |a_1| > u and 0 elsewhere."""
     queries = []  # (d, coefficients without trailing zeros, thresholds) of each instance
     for d, coeffs, u_values in instances:
-        d, a = check_dimension(d), tuple(np.trim_zeros(coeff_array(coeffs), "b").tolist())
+        d, a = check_dimension(d), coeff_array(coeffs).tolist()
+        while a[-1] == 0.0:  # a nonzero entry is left: the sum of squares is positive
+            a.pop()
         us = np.asarray(u_values, dtype=float)
         if us.ndim != 1 or us.size < 1:
             raise ValueError("u_values must be a nonempty sequence of reals")
-        queries.append((d, a, tuple(check_threshold(u) for u in us)))
+        queries.append((d, tuple(a), tuple(check_threshold(u) for u in us)))
     check_alpha(alpha)
     distinct = list(dict.fromkeys(queries))
-    tasks = [(_hit_counter(list(us)), a, d) for d, a, us in distinct]
-    hits = [np.sum(chunks, axis=0) for chunks in map_sum_norms(tasks, n_samples, seed, workers)]
-    intervals = zip(*(x.tolist() for x in clopper_pearson(np.concatenate(hits), n_samples, alpha)))
+    hits = {  # a chain of one entry has the norm |a_1|, bit for bit
+        (d, a, us): np.where(abs(a[0]) > np.array(us), n_samples, 0)
+        for d, a, us in distinct
+        if len(a) == 1
+    }
+    chains = [query for query in distinct if query not in hits]
+    tasks = [(_hit_counter(list(us)), a, d) for d, a, us in chains]
+    for query, chunks in zip(chains, map_sum_norms(tasks, n_samples, seed, workers)):
+        hits[query] = np.sum(chunks, axis=0)
+    counts = [hits[query] for query in distinct]
+    intervals = zip(*(x.tolist() for x in clopper_pearson(np.concatenate(counts), n_samples, alpha)))
     estimates = {
         query: [McEstimate(h / n_samples, *next(intervals), n_samples, h, seed, alpha) for h in hs]
-        for query, hs in zip(distinct, (h.tolist() for h in hits))
+        for query, hs in zip(distinct, (h.tolist() for h in counts))
     }
     return [list(estimates[query]) for query in queries]
 

@@ -21,7 +21,7 @@ from spheretail import (
     scale,
     theorem_bound,
 )
-from spheretail.bounds import sum_sq
+from spheretail.bounds import comparator_bound, comparator_bounds, sum_sq
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +182,34 @@ class TestTheoremBound:
             rs = theorem_bound(TailQuery(d, coeffs, u), "cstar")
             if rs.raw > 0:
                 assert r3.raw / rs.raw == pytest.approx(expected, rel=1e-12)
+
+
+class TestComparatorBounds:
+    @pytest.mark.parametrize("d", [1, 2, 3, 30, 1000])
+    @pytest.mark.parametrize("s", [1e-150, 2.12])
+    def test_array_path_is_one_bound_at_a_time(self, d, s):
+        # every field, the sign of zero included, equals comparator_bound at
+        # each (u, constant): thresholds at and below zero, the smallest
+        # subnormal, the chi tail's range, and u / s overflowing to +-inf
+        consts = ["c3", "cstar", "e2", "nt397"]
+        us = [-1e200, -2.5, -0.0, 0.0, 5e-324, 1e-150, 0.3, 1.0, 2.12, 7.5, 40.0, 1e154, 1e200]
+        us += np.linspace(0.0, 4.0 * s * math.sqrt(d), 9).tolist()
+        rows = comparator_bounds(consts, s, d, us)
+        assert len(rows) == len(us)
+        for u, row in zip(us, rows):
+            expected = [comparator_bound(c, s, d, u) for c in consts]
+            assert [b.constant for b in row] == [b.constant for b in expected]
+            for got, want in zip(row, expected):
+                for name in ("scale", "tail", "raw", "capped"):
+                    assert getattr(got, name).hex() == getattr(want, name).hex(), (u, name)
+
+    def test_array_path_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            comparator_bounds(["c3"], 1.0, 2, [1.0, math.inf])
+        with pytest.raises(ValueError, match="unknown constant"):
+            comparator_bounds(["c4"], 1.0, 2, [1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            comparator_bounds(["c3"], 1.0, 0, [1.0])
 
 
 class TestCorollaryBound:

@@ -178,6 +178,21 @@ class TestBoundCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_dense_grid_json_is_pinned(self, capsys):
+        # the coefficient vectors of verify's dense-grid pin, unnormalised,
+        # at 64 thresholds from below zero up the tail, under every constant
+        outs = []
+        for d in ("2", "30"):
+            for coeffs in ("1,1,1", "1,0.5,0.25"):
+                code, out, _ = run_cli(
+                    capsys, "bound", "--d", d, "--coeffs", coeffs, "--u-linear=-1:6:64",
+                    "--constants", "c3,cstar,e2,nt397", "--format", "json", "--no-timestamp",
+                )
+                assert code == 0
+                outs.append(out)
+        digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+        assert digest == "db6a820ff06587103de50860a34c9acf1e215f8131b66c6cf6d4e6dc913e9019"
+
     def test_tiny_coefficients_give_the_same_bound(self, capsys):
         # the bound is scale invariant, and scaling keeps (1e-160)^2 out of the subnormals
         lines = [
@@ -439,7 +454,7 @@ class TestCheckCommand:
             ["check", "gauss", "--f", "cosh", "--coeffs", "1,1", "--d", "3"],
             ["check", "kwapien", "--coeffs", "0.6,0.8", "--d", "3", "--p", "3"],
             ["check", "lemma2", "--xi-coeffs", "1,1", "--d", "2", "--h", "power4"],
-            ["verify", "--d", "2"],
+            ["verify", "--d", "2", "--n", "2"],  # at n = 1 the norm is |a_1|, drawn from no sample
         ],
         ids=["bc", "gauss", "kwapien", "lemma2", "verify"],
     )
@@ -685,12 +700,14 @@ def test_json_text_is_the_indented_dump(doc):
 
 
 def test_a_list_of_records_is_the_indented_dump():
-    # a list of flat dicts goes through one C call, split at the records'
-    # boundaries; strings that look like a boundary are escaped, never split
+    # a list marked as flat dicts, as records_to_json marks a report's
+    # records, goes through one C call, split at the records' boundaries;
+    # strings that look like a boundary are escaped, never split
     tricky = ["},\n    {", "}\n", "{", "}", '"},"', ""]
-    records = [{"k": v, "n": i, "x": [1.5, None][i % 2]} for i, v in enumerate(tricky)]
-    for doc in (records, {"records": records, "meta": {"seed": 1}}, [[records[0]], records]):
-        assert report.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    plain = [{"k": v, "n": i, "x": [1.5, None][i % 2]} for i, v in enumerate(tricky)]
+    for records in (plain, report._FlatDicts(plain), report._FlatDicts()):
+        for doc in (records, {"records": records, "meta": {"seed": 1}}, [[plain[0]], records]):
+            assert report.json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def _subparsers(parser):
@@ -867,8 +884,9 @@ class TestVerifyCommand:
         assert stamped == plain
 
     def test_a_repeated_vector_runs_one_counter(self, capsys, monkeypatch):
-        # equal and single are both [1.0] at n = 1: one counter runs on the
-        # one chunk, and the rows are those of the two patterns' own runs
+        # equal and explicit:1,1 are both [2^-0.5, 2^-0.5] once normalised:
+        # one counter runs on the one chunk, and the rows are those of the
+        # two patterns' own runs
         calls = []
         make = sampling._hit_counter
 
@@ -877,15 +895,33 @@ class TestVerifyCommand:
             return lambda r: calls.append(len(us)) or count(r)
 
         monkeypatch.setattr(sampling, "_hit_counter", counter)
-        argv = ["verify", "--d", "1", "--n", "1", "--samples", "1000", "--format", "csv"]
-        code, both, _ = run_cli(capsys, *argv, "--patterns", "equal,single")
+        argv = ["verify", "--d", "1", "--n", "2", "--samples", "1000", "--format", "csv"]
+        code, both, _ = run_cli(capsys, *argv, "--patterns", "equal,explicit:1,1")
         assert code == 0 and calls == [7]
         header, *rows = both.splitlines()
-        for pattern in ("equal", "single"):
+        for pattern in ("equal", "explicit:1,1"):
             code, alone, _ = run_cli(capsys, *argv, "--patterns", pattern)
             assert code == 0 and alone.splitlines() == [header, *rows[:7]]
             rows = rows[7:]
         assert rows == []
+
+    def test_one_entry_vectors_draw_no_sample(self, capsys, monkeypatch):
+        # single is [1.0] once trailing zeros go, whose chain's norm is 1
+        # exactly: every hit count is n_samples below u = 1 and 0 from it up
+        def no_chain(tasks, *args):
+            assert tasks == [], "a one-entry vector ran a chain"
+            return []
+
+        monkeypatch.setattr(sampling, "map_sum_norms", no_chain)
+        code, out, _ = run_cli(
+            capsys, "verify", "--d", "1,2,3,30", "--n", "1,2,5", "--patterns", "single",
+            "--u-linear=-1:2:7", "--samples", "5000", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4 * 3 * 7
+        for row in rows:
+            assert int(row["hits"]) == (5000 if float(row["u"]) < 1.0 else 0)
 
     def test_summary_line(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS)
@@ -1131,8 +1167,15 @@ class TestVerifyCommand:
                 ["--d", "3", "--n", "2", "--u-linear", "0:60:3", "--samples", "1000"],
                 "beaa7a16ed81e5ebb31a8bd5b812ee351e2b080bf03955ee0f278170922083da",
             ),
+            (
+                # 64 thresholds from below zero up the tail, under every constant
+                ["--d", "2,30", "--n", "3", "--patterns", "equal,geometric",
+                 "--u-linear=-1:6:64", "--constants", "c3,cstar,e2,nt397",
+                 "--samples", "40000", "--workers", "2"],
+                "9a679ab2e8fbcdc6a5d1ec88603d2d66ea01c38dfc3e366fd40a3179e30456ac",
+            ),
         ],
-        ids=["grid", "underflowed-tail"],
+        ids=["grid", "underflowed-tail", "dense-grid"],
     )
     def test_json_report_is_pinned(self, capsys, argv, digest):
         # ratio_upper, alpha and the summary block appear only in JSON

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from spheretail.gaussian_chi import chi_tails
 from spheretail import (
     chi_expectation,
     chi_moment,
@@ -146,6 +147,24 @@ class TestChiTail:
             chi_tail(2.5, 1.0)
         with pytest.raises(ValueError):
             chi_tail(2, math.nan)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 30, 100, 1000])
+    def test_array_form_is_the_scalar_bit_for_bit(self, d):
+        # one gammaincc call on u^2 / 2, with Q(d/2, 0) = 1 at u <= 0; the
+        # limits +-inf, which chi_tail rejects, have tails 0 and 1
+        rng = np.random.default_rng(d)
+        us = np.concatenate([
+            [-1e300, -3.0, -0.0, 0.0, 5e-324, 1e-160, 1e154, 1.4e154, 1e200],
+            rng.uniform(0.0, 3.0 * math.sqrt(d) + 10.0, 200),
+        ]).tolist()
+        tails = chi_tails(d, us)
+        assert [t.hex() for t in tails] == [chi_tail(d, u).hex() for u in us]
+        assert chi_tails(d, [math.inf, -math.inf]) == [0.0, 1.0]
+        assert chi_tails(d, []) == []
+
+    def test_array_form_rejects_nan(self):
+        with pytest.raises(ValueError, match="not NaN"):
+            chi_tails(2, [1.0, math.nan])
 
 
 class TestChiTailLog:

@@ -10,8 +10,9 @@ signature of the function it calls, so a deletion cannot break it silently,
 and every name the package exports is used by the package or the benchmark.
 Each rule that several modules share has one owner: only ``bounds.fsum_inf``
 calls ``math.fsum``, only ``bounds.comparator_tail`` takes the chi tail of
-u / scale, only ``bounds.comparator_bound`` builds a ``BoundResult`` or
-takes that tail, only ``cli._Parser`` parses known arguments, only
+u / scale and only ``bounds.comparator_bounds`` takes the array of them,
+only ``bounds._bound_result`` builds a ``BoundResult``, for
+``comparator_bound`` and ``comparator_bounds`` alone, only ``cli._Parser`` parses known arguments, only
 ``sampling._angle_rule`` builds the Gauss-Legendre rule on which
 ``sampling.cos_rule`` integrates against the law of C, no module calls the
 numerical references ``is_bisubharmonic_numeric`` and ``chi_expectation``
@@ -20,7 +21,7 @@ numerical references ``is_bisubharmonic_numeric`` and ``chi_expectation``
 ``_cos_draw`` and ``_cos_column`` behind it evaluate no cosine or sine, only ``report.csv_text`` and ``report.json_text`` write CSV
 and JSON (``cli`` imports neither ``csv``, ``io`` nor ``json``), only
 ``bounds.pow2_above`` picks a power-of-two scaling, every comparator scale
-goes through ``bounds.scale``, and the messages of the alpha, threshold and
+goes through ``bounds.scales``, and the messages of the alpha, threshold and
 command-line usage checks are each written once.
 Importing the package loads neither ``scipy.stats``, which it does not
 need, nor ``scipy.integrate``, which one function needs.  The benchmark's
@@ -268,14 +269,20 @@ def test_only_the_sum_owner_calls_fsum():
 
 def test_only_the_comparator_owner_takes_a_chi_tail_of_a_ratio():
     # u / scale may overflow a finite u; comparator_tail maps that to tail 0,
-    # which chi_tail would reject as a non-finite threshold
+    # which chi_tail would reject as a non-finite threshold; the array form
+    # chi_tails takes the overflowed ratio itself
     assert _callers_of("chi_tail") == [("bounds.py", "comparator_tail"), ("bounds.py", "g_lower")]
+    assert _callers_of("chi_tails") == [("bounds.py", "comparator_bounds")]
 
 
 def test_only_the_bound_owner_builds_a_bound_result():
-    # theorem_bound, corollary_bound and the sweep records all go through
-    # comparator_bound, so c * P(s ||Z_d|| > u), raw and capped, has one owner
-    assert _callers_of("BoundResult") == [("bounds.py", "comparator_bound")]
+    # theorem_bound and corollary_bound go through comparator_bound, the sweep
+    # and bound records through its array form comparator_bounds, and both
+    # through _bound_result, so c * tail, raw and capped, has one owner
+    assert _callers_of("BoundResult") == [("bounds.py", "_bound_result")]
+    assert _callers_of("_bound_result") == [
+        ("bounds.py", "comparator_bound"), ("bounds.py", "comparator_bounds")
+    ]
 
 
 def test_only_the_bound_owner_takes_the_comparator_tail():
@@ -354,11 +361,12 @@ def test_only_the_power_of_two_owner_calls_frexp():
 
 
 def test_every_comparator_scale_goes_through_scale():
-    # corollary_bound and pattern normalisation call scale, which keeps the
-    # squares of a tiny vector normal; only these sum squares themselves
+    # corollary_bound and pattern normalisation call scale, the one-dimension
+    # case of scales, which keeps the squares of a tiny vector normal; only
+    # these sum squares themselves
     assert _callers_of("sum_sq") == [
         ("bounds.py", "coeff_array"),
-        ("bounds.py", "scale"),
+        ("bounds.py", "scales"),
         ("moment_compare.py", "second_moment_exact"),
     ]
 

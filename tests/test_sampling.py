@@ -371,8 +371,9 @@ class TestMcTail:
     def test_repeated_vectors_share_one_task(self, monkeypatch):
         # [1.0], [1.0, 0.0] and [1.0] are one vector once trailing zeros go,
         # as are [1, 0.5] and [1, 0.5, 0, 0]; with other thresholds each is
-        # its own query and counter, and every estimate is still its
-        # one-instance call's; another order or another d is another stream
+        # its own query, and every estimate is still its one-instance call's;
+        # another order or another d is another stream.  Each query of more
+        # than one entry runs its own counter; [1.0] runs none
         instances = [
             (2, (1.0,), [0.5, 1.5]),
             (2, (1.0, 0.0), [1.5, 0.9]),
@@ -390,12 +391,12 @@ class TestMcTail:
         for workers in (1, 2):
             counted.clear()
             assert mc_tail_batch(instances, n, seed=6, workers=workers) == alone
-            assert counted == [us for _, _, us in instances]
+            assert counted == [[1.2, 0.8], [0.8, 1.4], [1.2]]
 
     def test_identical_queries_share_one_task(self, monkeypatch):
         # (d, vector without trailing zeros, thresholds) is the query: the
-        # repeats below run one counter each, and their estimates are equal
-        # to each other and to the one-instance calls
+        # repeats below run one counter each ([1.0] none), and their
+        # estimates are equal to each other and to the one-instance calls
         instances = [
             (3, (1.0, 0.5), [1.2, 0.8]),
             (2, (1.0,), [0.5]),
@@ -413,12 +414,13 @@ class TestMcTail:
             counted.clear()
             batch = mc_tail_batch(instances, n, seed=7, workers=workers)
             assert batch == alone and batch[0] == batch[2] and batch[1] == batch[3] == batch[5]
-            assert counted == [[1.2, 0.8], [0.5], [0.8, 1.2]]
+            assert counted == [[1.2, 0.8], [0.8, 1.2]]
 
     def test_accept_grid_runs_one_task_per_distinct_query(self, monkeypatch):
         # the 60 instances of the acceptance grid are 35 distinct queries (at
         # n = 1 all three patterns, and `single` at every n, are [1.0] with the
-        # same 7 thresholds per d), so one interval call gets 35 * 7 counts
+        # same 7 thresholds per d), so one interval call gets 35 * 7 counts;
+        # the 5 queries of [1.0] run no task
         sizes = {"map_sum_norms": [], "clopper_pearson": []}
         for name, seen in sizes.items():
             wrapped = getattr(sampling, name)
@@ -428,14 +430,14 @@ class TestMcTail:
         patterns = tuple(map(parse_pattern, ("equal", "single", "geometric:0.5")))
         records, _ = run_sweep((1, 2, 3, 5, 10), (1, 2, 5, 10), patterns, samples=1000, seed=1)
         assert len(records) == 420
-        assert sizes == {"map_sum_norms": [35], "clopper_pearson": [245]}
+        assert sizes == {"map_sum_norms": [30], "clopper_pearson": [245]}
 
     def test_trailing_zeros_draw_no_column(self, uniform_blocks):
-        # a d whose vectors have one nonzero coefficient draws nothing, and
+        # a d whose vectors have one nonzero coefficient runs no job, and
         # d = 5 draws the V and W blocks of its one column, in each chunk
         instances = [(2, (1.0, 0.0, 0.0), [0.5]), (5, (2.0, 1.0, 0.0), [0.5])]
         mc_tail_batch(instances, 2 * CHUNK_SIZE, seed=0)
-        assert sorted(map(len, uniform_blocks)) == [0, 0, 2, 2]
+        assert sorted(map(len, uniform_blocks)) == [2, 2]
 
     def test_stacked_task_grouped_with_one_row_tasks(self):
         # each row of a two-row task keeps its own scale beside other tasks
